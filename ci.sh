@@ -18,6 +18,33 @@ cargo build --release --offline
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== perf-smoke (lp-perf ledger) =="
+# lp-perf is a package of its own (BENCHMARK.json runs it from its own
+# manifest), so nothing above compiles it. Its unit tests must pass and
+# every workload must run end to end and traced at smoke scale: exit 0
+# means every operation and output check held (decomposition == run_job,
+# farm estimate == in-process, one compute per key, ...).
+# `selfcheck --smoke` is not the gate: it also wants the timings of two
+# runs within 25 % of each other, which a noisy host breaks at this scale.
+cargo test --offline -q --manifest-path lp-perf/Cargo.toml
+PERF=(cargo run --release --offline --quiet --manifest-path lp-perf/Cargo.toml --)
+for workload in twophase-train fulldetail-train live-train farm-sweep ring-sweep; do
+  for traced in 0 1; do
+    PERF_LOG="$PWD/target/ci-perf-$workload-$traced.log"
+    "${PERF[@]}" --smoke --seconds 1 --workload "$workload" --trace "$traced" > "$PERF_LOG" 2>&1 \
+      || { cat "$PERF_LOG" >&2; echo "perf-smoke: $workload --trace $traced failed" >&2; exit 1; }
+  done
+done
+# Floor, off the traced twophase-train result line: constrained replay
+# stays within 2x of the bare VM (3.35x before the zero-copy retirement
+# stream, ~1.3x since).
+grep '^{' "$PWD/target/ci-perf-twophase-train-1.log" | tail -n1 | python3 -c "
+import json, sys
+x = json.load(sys.stdin)['metrics']['pinball.replay_overhead_x']['value']
+assert 0 < x <= 2.0, f'pinball.replay_overhead_x {x:.2f} breaches the 2.0 floor'
+print(f'perf-smoke: constrained replay at {x:.2f}x the bare VM')
+" || { echo "perf-smoke: replay floor failed" >&2; exit 1; }
+
 echo "== bench-smoke (analysis cost) =="
 # Quick variant of the analysis-cost benchmark: proves the single-pass
 # checkpoint generator still replays exactly once (asserted inside the

@@ -2,7 +2,7 @@
 
 use crate::vector::{dim, SparseVec};
 use lp_dcfg::Dcfg;
-use lp_isa::{Marker, Pc, Program, Retired};
+use lp_isa::{Marker, PcTable, Program, Retired};
 use lp_pinball::ExecObserver;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,8 +79,9 @@ pub struct LoopAlignedSlicer<'d> {
     base_target: u64,
     policy: SlicePolicy,
     filter_spin: bool,
-    /// Global execution counts of every main-image loop header.
-    header_counts: HashMap<Pc, u64>,
+    /// Global execution counts of every main-image loop header (dense:
+    /// probed once per retired instruction).
+    header_counts: PcTable<u64>,
     /// Per-thread flag: the next retirement enters a new basic block.
     entering_block: Vec<bool>,
     // Current slice accumulation.
@@ -102,11 +103,10 @@ impl<'d> LoopAlignedSlicer<'d> {
     /// N × 100 M, scaled).
     pub fn new(program: Arc<Program>, dcfg: &'d Dcfg, nthreads: usize, slice_base: u64) -> Self {
         assert!(slice_base > 0);
-        let header_counts = dcfg
-            .main_image_loop_headers()
-            .into_iter()
-            .map(|pc| (pc, 0))
-            .collect();
+        let mut header_counts = PcTable::new(&program);
+        for pc in dcfg.main_image_loop_headers() {
+            header_counts.get_or_insert_with(pc, || 0);
+        }
         LoopAlignedSlicer {
             program,
             dcfg,
@@ -187,7 +187,7 @@ impl ExecObserver for LoopAlignedSlicer<'_> {
         // execution opens the next slice (the paper's "end a region at the
         // next loop entry once the target is achieved").
         if !self.filter_spin || !self.program.is_library_pc(r.pc) {
-            if let Some(count) = self.header_counts.get_mut(&r.pc) {
+            if let Some(count) = self.header_counts.get_mut(r.pc) {
                 *count += 1;
                 if self.cur_filtered >= self.slice_target {
                     let marker = Marker::new(r.pc, *count);

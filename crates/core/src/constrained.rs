@@ -49,12 +49,10 @@ pub fn simulate_constrained(
     }
     let mut order: std::collections::HashMap<u64, WordOrder> = std::collections::HashMap::new();
     let mut steps: u64 = 0;
-    while let Some(r) = replayer.step()? {
+    replayer.drive(|r, _| {
         steps += 1;
         if steps > max_steps {
-            return Err(LoopPointError::Sim(lp_sim::SimError::StepLimit {
-                limit: max_steps,
-            }));
+            return true;
         }
         stats.instructions += 1;
         stats.per_thread_instructions[r.tid] += 1;
@@ -82,7 +80,7 @@ pub fn simulate_constrained(
                 }
             }
         }
-        let complete = timing.account(&r, Mode::Detailed);
+        let complete = timing.account(r, Mode::Detailed);
         if let Some(acc) = shared {
             let w = order.entry(acc.addr.0).or_default();
             if acc.write || acc.atomic {
@@ -91,6 +89,12 @@ pub fn simulate_constrained(
                 w.last_read = Some((r.tid, complete));
             }
         }
+        false
+    })?;
+    if steps > max_steps {
+        return Err(LoopPointError::Sim(lp_sim::SimError::StepLimit {
+            limit: max_steps,
+        }));
     }
     stats.cycles = timing.max_cycle();
     timing.collect_into(&mut stats);

@@ -95,6 +95,8 @@ mod error;
 mod extrapolate;
 mod job;
 mod live;
+#[cfg(test)]
+mod pc_table_equivalence;
 pub mod persist;
 mod pipeline;
 mod pool;

@@ -29,12 +29,12 @@
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
 use lp_diag::{attribute, ClusterInput, DiagReport, SelfProfile};
-use lp_isa::{Machine, MachineState, Marker, Pc, Program};
+use lp_isa::{Machine, MachineState, Marker, PcTable, Program};
 use lp_live::{Action, Decision, DetailReason, LiveProgress, OnlineClassifier, StreamingSlicer};
 use lp_obs::{names, Observer};
 use lp_sim::{Mode, SimStats, Simulator, StopCond};
 use lp_uarch::SimConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of a live-mode run.
@@ -223,7 +223,7 @@ struct LiveCheckpoint {
     /// detailed runs keep the caches and predictors the one live pass has
     /// been warming all along (`None` only for the program-reset entry).
     timing: Option<lp_sim::TimingModel>,
-    counts: HashMap<Pc, u64>,
+    counts: PcTable<u64>,
     /// Boundary the snapshot was taken at (`None` = program start).
     at: Option<Marker>,
 }
@@ -261,7 +261,7 @@ pub fn analyze_live(
     ring.push_back(LiveCheckpoint {
         state: None,
         timing: None,
-        counts: HashMap::new(),
+        counts: PcTable::new(program),
         at: None,
     });
 
@@ -459,7 +459,7 @@ fn simulate_region_detailed(
     // the two-phase checkpoint path does for its warmup slices.
     rsim.set_ff_warming(true);
     for m in [region.start, region.end].into_iter().flatten() {
-        rsim.watch_pc_from(m.pc, ckpt.counts.get(&m.pc).copied().unwrap_or(0));
+        rsim.watch_pc_from(m.pc, ckpt.counts.get(m.pc).copied().unwrap_or(0));
     }
     if region.start != ckpt.at {
         if let Some(s) = region.start {

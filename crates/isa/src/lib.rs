@@ -68,6 +68,7 @@ mod image;
 mod inst;
 mod machine;
 mod mem;
+mod pctable;
 mod program;
 mod stateio;
 
@@ -79,4 +80,5 @@ pub use image::{Image, ImageKind};
 pub use inst::{AluOp, Cond, CtrlKind, FpuOp, Inst, InstClass, Reg, RegFile};
 pub use machine::{CtrlEvent, Machine, MachineState, MemAccess, Retired, StepResult, ThreadState};
 pub use mem::Memory;
+pub use pctable::PcTable;
 pub use program::Program;

@@ -197,3 +197,62 @@ proptest! {
         prop_assert_eq!(again, bytes);
     }
 }
+
+proptest! {
+    /// `PcTable` is a `HashMap<Pc, _>` restricted to the program's own
+    /// PCs: any mix of inserts, updates and lookups — at PCs inside the
+    /// program, one past an image's end, in unknown images and at
+    /// `Pc::INVALID` — agrees with the map model, and PCs outside the
+    /// program never get a slot.
+    #[test]
+    fn pc_table_matches_hashmap_model(
+        main_len in 1u32..40,
+        lib_lens in prop::collection::vec(1u32..20, 0..3),
+        ops in prop::collection::vec((0u8..3, 0u16..5, 0u32..44, any::<u8>()), 1..200),
+    ) {
+        let mut pb = ProgramBuilder::new("pctable");
+        let mut c = pb.main_code(); // emits one prologue instruction
+        for _ in 1..main_len {
+            c.nop();
+        }
+        c.finish();
+        for (i, &len) in lib_lens.iter().enumerate() {
+            let mut l = pb.library_code(format!("lib{i}"));
+            for _ in 0..len {
+                l.nop();
+            }
+            l.finish();
+        }
+        let p = pb.finish();
+        let in_program = |pc: Pc| p.inst(pc).is_some();
+
+        let mut table: PcTable<u64> = PcTable::new(&p);
+        let mut model: std::collections::HashMap<Pc, u64> = std::collections::HashMap::new();
+        for &(op, image, offset, v) in &ops {
+            let pc = if image == 4 { Pc::INVALID } else { Pc::new(ImageId(image), offset) };
+            let v = u64::from(v);
+            match op {
+                0 => {
+                    let got = table.get_or_insert_with(pc, || v).map(|slot| *slot);
+                    let want = in_program(pc).then(|| *model.entry(pc).or_insert(v));
+                    prop_assert_eq!(got, want);
+                }
+                1 => {
+                    if let Some(slot) = table.get_mut(pc) {
+                        *slot += v;
+                    }
+                    if let Some(slot) = model.get_mut(&pc) {
+                        *slot += v;
+                    }
+                }
+                _ => prop_assert_eq!(table.get(pc), model.get(&pc)),
+            }
+            prop_assert_eq!(table.iter().count(), model.len());
+        }
+        let mut want: Vec<(Pc, u64)> = model.into_iter().collect();
+        want.sort_unstable();
+        let got: Vec<(Pc, u64)> = table.iter().map(|(pc, &v)| (pc, v)).collect();
+        prop_assert_eq!(got, want, "iteration is the model in ascending PC order");
+        prop_assert!(table.iter().all(|(pc, _)| in_program(pc)));
+    }
+}

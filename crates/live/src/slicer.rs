@@ -10,7 +10,7 @@
 //! is met.
 
 use lp_bbv::SparseVec;
-use lp_isa::{CtrlKind, Marker, Pc, Program, Retired};
+use lp_isa::{CtrlKind, Marker, Pc, PcTable, Program, Retired};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -53,12 +53,16 @@ pub struct StreamingSlicer {
     slice_target: u64,
     /// Discovered main-image loop headers and their execution counts
     /// (counted from the moment of discovery).
-    header_counts: HashMap<Pc, u64>,
+    header_counts: PcTable<u64>,
     /// Per-thread flag: the next retirement enters a new basic block.
     entering_block: Vec<bool>,
-    /// Per-thread dimension of the basic block currently executing.
-    cur_block: Vec<u64>,
-    cur_bbv: HashMap<u64, u64>,
+    /// Per-thread entry PC of the basic block currently executing.
+    cur_block: Vec<Pc>,
+    /// The open region's BBV: per block-entry PC, one counter per thread.
+    /// Dense like `header_counts`, because it is bumped once per retired
+    /// main-image instruction; counters are zeroed, not freed, at region
+    /// boundaries.
+    cur_bbv: PcTable<Box<[u64]>>,
     cur_filtered: u64,
     cur_total: u64,
     cur_start: Option<Marker>,
@@ -83,12 +87,12 @@ impl StreamingSlicer {
         assert!(slice_base > 0);
         assert!(nthreads > 0);
         StreamingSlicer {
-            program,
             slice_target: slice_base * nthreads as u64,
-            header_counts: HashMap::new(),
+            header_counts: PcTable::new(&program),
             entering_block: vec![true; nthreads],
-            cur_block: vec![0; nthreads],
-            cur_bbv: HashMap::new(),
+            cur_block: vec![Pc::INVALID; nthreads],
+            cur_bbv: PcTable::new(&program),
+            program,
             cur_filtered: 0,
             cur_total: 0,
             cur_start: None,
@@ -108,9 +112,15 @@ impl StreamingSlicer {
             // instruction, charged to the entry PC of its basic block
             // (equivalent to block entries × block length).
             if self.entering_block[r.tid] {
-                self.cur_block[r.tid] = dim(r.tid, r.pc);
+                self.cur_block[r.tid] = r.pc;
             }
-            *self.cur_bbv.entry(self.cur_block[r.tid]).or_default() += 1;
+            let nthreads = self.cur_block.len();
+            if let Some(per_thread) = self
+                .cur_bbv
+                .get_or_insert_with(self.cur_block[r.tid], || vec![0; nthreads].into())
+            {
+                per_thread[r.tid] += 1;
+            }
             self.cur_filtered += 1;
             self.total_filtered += 1;
 
@@ -121,14 +131,14 @@ impl StreamingSlicer {
                     && ctrl.target.image == r.pc.image
                     && ctrl.target.offset <= r.pc.offset
                 {
-                    self.header_counts.entry(ctrl.target).or_insert(0);
+                    self.header_counts.get_or_insert_with(ctrl.target, || 0);
                 }
             }
 
             // Boundary: a known header retiring once the target is met
             // ends the region *including this instruction* (the marker
             // occurrence belongs to the segment it terminates).
-            if let Some(count) = self.header_counts.get_mut(&r.pc) {
+            if let Some(count) = self.header_counts.get_mut(r.pc) {
                 *count += 1;
                 if self.cur_filtered >= self.slice_target {
                     let marker = Marker::new(r.pc, *count);
@@ -149,8 +159,14 @@ impl StreamingSlicer {
     }
 
     fn close_region(&mut self, end: Option<Marker>) {
-        let mut bbv_map = HashMap::new();
-        std::mem::swap(&mut bbv_map, &mut self.cur_bbv);
+        let mut bbv_map: HashMap<u64, u64> = HashMap::new();
+        for (pc, per_thread) in self.cur_bbv.iter_mut() {
+            for (tid, count) in per_thread.iter_mut().enumerate() {
+                if *count > 0 {
+                    *bbv_map.entry(dim(tid, pc)).or_default() += std::mem::take(count);
+                }
+            }
+        }
         self.pending = Some(LiveRegion {
             index: self.regions_emitted,
             start: self.cur_start,
@@ -185,7 +201,7 @@ impl StreamingSlicer {
     /// Discovered loop headers and their current global execution counts.
     /// Cloned alongside machine snapshots so a re-run can seed its marker
     /// watch counts with the values at the snapshot.
-    pub fn header_counts(&self) -> &HashMap<Pc, u64> {
+    pub fn header_counts(&self) -> &PcTable<u64> {
         &self.header_counts
     }
 

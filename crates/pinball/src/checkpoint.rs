@@ -2,7 +2,7 @@
 
 use crate::pinball::{Pinball, PinballError};
 use crate::replay::Replayer;
-use lp_isa::{MachineState, Marker, Pc, Program};
+use lp_isa::{MachineState, Marker, Pc, PcTable, Program};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -12,6 +12,15 @@ use std::sync::Arc;
 struct PendingMarker {
     count: u64,
     out_slots: Vec<usize>,
+}
+
+/// Per-PC state of a checkpoint pass, for every marker or watch PC.
+#[derive(Debug, Default)]
+struct TrackedPc {
+    /// Global execution count so far.
+    executed: u64,
+    /// Markers at this PC that have not fired yet.
+    pending: Vec<PendingMarker>,
 }
 
 /// One [`Pinball::checkpoints_at`] output per input marker: the checkpoint
@@ -81,7 +90,8 @@ impl Pinball {
     /// Like [`Pinball::checkpoint_at`], additionally returning the global
     /// execution counts that each `watch` PC had reached at the checkpoint
     /// — what a simulator resuming from the checkpoint needs to keep using
-    /// whole-program `(PC, count)` markers.
+    /// whole-program `(PC, count)` markers. A one-marker
+    /// [`Pinball::checkpoints_at`]: one replay per call.
     ///
     /// # Errors
     /// [`PinballError::MarkerNotReached`] if the recording ends first, plus
@@ -92,37 +102,8 @@ impl Pinball {
         marker: Marker,
         watch: &[Pc],
     ) -> Result<(RegionCheckpoint, HashMap<Pc, u64>), PinballError> {
-        let obs = lp_obs::global();
-        let mut span = obs.span("pinball.checkpoint", "pinball");
-        span.arg("marker", marker.to_string());
-        obs.counter("pinball.checkpoint_replays").inc();
-        let mut rep = self.replayer(program);
-        let mut seen: u64 = 0;
-        let mut instructions: u64 = 0;
-        let mut counts: HashMap<Pc, u64> = watch.iter().map(|&pc| (pc, 0)).collect();
-        while let Some(r) = rep.step()? {
-            instructions += 1;
-            if let Some(c) = counts.get_mut(&r.pc) {
-                *c += 1;
-            }
-            if r.pc == marker.pc {
-                seen += 1;
-                if seen == marker.count {
-                    let (state, event_start) = rep.snapshot();
-                    let ckpt = RegionCheckpoint {
-                        name: format!("{}@{}", self.name(), marker),
-                        marker,
-                        state,
-                        event_start,
-                        instructions_before: instructions,
-                    };
-                    span.arg("instructions_before", instructions);
-                    obs.counter("pinball.checkpoints").inc();
-                    return Ok((ckpt, counts));
-                }
-            }
-        }
-        Err(PinballError::MarkerNotReached { executed: seen })
+        let mut batch = self.checkpoints_at(program, &[marker], watch)?;
+        Ok(batch.pop().expect("one output per input marker"))
     }
 
     /// Single-pass, multi-marker checkpoint generation: performs **one**
@@ -130,15 +111,14 @@ impl Pinball {
     /// `(PC, count)` marker, returning one `(checkpoint, watch counts)`
     /// pair per input marker, in input order.
     ///
-    /// This is the batched form of [`Pinball::checkpoint_at_with_counts`]:
-    /// where k independent calls replay the whole recording k times
-    /// (O(k·N) retired instructions before any checkpoint is usable), this
-    /// carries a sorted agenda of pending markers through a single replay
-    /// (O(N)) — the one-logging-pass region-pinball generation of the SPEC
-    /// PinPoints tooling. Results are byte-identical to the per-marker
-    /// path: duplicate and unsorted markers are fine (duplicates share one
-    /// snapshot clone), and every output's watch counts are the global
-    /// execution counts of each `watch` PC at that output's marker.
+    /// Where k [`Pinball::checkpoint_at_with_counts`] calls replay the
+    /// whole recording k times (O(k·N) retired instructions before any
+    /// checkpoint is usable), this carries an agenda of pending markers
+    /// through a single replay (O(N)) — the one-logging-pass region-pinball
+    /// generation of the SPEC PinPoints tooling. Duplicate and unsorted
+    /// markers are fine (duplicates share one snapshot clone), and every
+    /// output's watch counts are the global execution counts of each
+    /// `watch` PC at that output's marker.
     ///
     /// # Errors
     /// [`PinballError::MarkerNotReached`] if the recording ends before
@@ -158,78 +138,92 @@ impl Pinball {
         }
         obs.counter("pinball.checkpoint_replays").inc();
 
-        // Agenda: per marker PC, the pending counts sorted ascending, each
-        // carrying every output slot that requested it (duplicates fold).
-        let mut agenda: HashMap<Pc, Vec<PendingMarker>> = HashMap::new();
+        // One dense slot per marker or watch PC: its global execution
+        // count, and the pending marker counts sorted descending (pop from
+        // the back = smallest count first), each carrying every output
+        // slot that requested it (duplicates fold). A PC outside the
+        // program gets no slot: it never retires, so a marker there stays
+        // unmet and a watch count there stays 0.
+        let mut tracked: PcTable<TrackedPc> = PcTable::new(&program);
+        let mut remaining = 0usize;
+        for &pc in watch {
+            tracked.get_or_insert_with(pc, TrackedPc::default);
+        }
         for (slot, m) in markers.iter().enumerate() {
-            let pending = agenda.entry(m.pc).or_default();
-            match pending.iter_mut().find(|p| p.count == m.count) {
+            let Some(t) = tracked.get_or_insert_with(m.pc, TrackedPc::default) else {
+                remaining += 1;
+                continue;
+            };
+            match t.pending.iter_mut().find(|p| p.count == m.count) {
                 Some(p) => p.out_slots.push(slot),
-                None => pending.push(PendingMarker {
-                    count: m.count,
-                    out_slots: vec![slot],
-                }),
+                None => {
+                    remaining += 1;
+                    t.pending.push(PendingMarker {
+                        count: m.count,
+                        out_slots: vec![slot],
+                    });
+                }
             }
         }
-        for pending in agenda.values_mut() {
-            pending.sort_by_key(|p| p.count);
-            pending.reverse(); // pop from the back = smallest count first
+        for (_, t) in tracked.iter_mut() {
+            t.pending.sort_by_key(|p| std::cmp::Reverse(p.count));
         }
-        let mut remaining = agenda.values().map(Vec::len).sum::<usize>();
+
+        // Per fired marker: the checkpoint, the output slots that asked
+        // for it, and each `watch` PC's count (in `watch` order). Outputs
+        // are assembled from these once the pass is over.
+        let mut fired: Vec<(RegionCheckpoint, Vec<usize>, Vec<u64>)> = Vec::new();
+        let mut instructions: u64 = 0;
+        self.replayer(program).drive(|r, rep| {
+            instructions += 1;
+            let Some(t) = tracked.get_mut(r.pc) else {
+                return false;
+            };
+            t.executed += 1;
+            if t.pending.last().is_none_or(|p| p.count != t.executed) {
+                return false;
+            }
+            let PendingMarker { count, out_slots } = t.pending.pop().expect("checked non-empty");
+            let marker = Marker::new(r.pc, count);
+            let (state, event_start) = rep.snapshot();
+            let mut marker_span = obs.span("pinball.checkpoint_pass.marker", "pinball");
+            marker_span.arg("marker", marker.to_string());
+            marker_span.arg("instructions_before", instructions);
+            drop(marker_span);
+            obs.counter("pinball.checkpoints").inc();
+            let checkpoint = RegionCheckpoint {
+                name: format!("{}@{}", self.name(), marker),
+                marker,
+                state,
+                event_start,
+                instructions_before: instructions,
+            };
+            let watch_counts = watch
+                .iter()
+                .map(|&pc| tracked.get(pc).map_or(0, |t| t.executed))
+                .collect();
+            fired.push((checkpoint, out_slots, watch_counts));
+            remaining -= 1;
+            remaining == 0
+        })?;
 
         let mut out: Vec<Option<(RegionCheckpoint, HashMap<Pc, u64>)>> =
             (0..markers.len()).map(|_| None).collect();
-        let mut rep = self.replayer(program);
-        let mut instructions: u64 = 0;
-        let mut counts: HashMap<Pc, u64> = watch.iter().map(|&pc| (pc, 0)).collect();
-        // Global execution count per marker PC (the `seen` of the
-        // single-marker path, tracked for every agenda PC at once).
-        let mut seen: HashMap<Pc, u64> = agenda.keys().map(|&pc| (pc, 0)).collect();
-
-        while remaining > 0 {
-            let Some(r) = rep.step()? else { break };
-            instructions += 1;
-            if let Some(c) = counts.get_mut(&r.pc) {
-                *c += 1;
-            }
-            let Some(s) = seen.get_mut(&r.pc) else {
-                continue;
-            };
-            *s += 1;
-            let pending = agenda.get_mut(&r.pc).expect("agenda has every seen pc");
-            while pending.last().is_some_and(|p| p.count == *s) {
-                let fired = pending.pop().expect("checked non-empty");
-                let marker = Marker::new(r.pc, fired.count);
-                let (state, event_start) = rep.snapshot();
-                let mut marker_span = obs.span("pinball.checkpoint_pass.marker", "pinball");
-                marker_span.arg("marker", marker.to_string());
-                marker_span.arg("instructions_before", instructions);
-                drop(marker_span);
-                obs.counter("pinball.checkpoints").inc();
-                for &slot in &fired.out_slots {
-                    out[slot] = Some((
-                        RegionCheckpoint {
-                            name: format!("{}@{}", self.name(), marker),
-                            marker,
-                            state: state.clone(),
-                            event_start,
-                            instructions_before: instructions,
-                        },
-                        counts.clone(),
-                    ));
-                }
-                remaining -= 1;
+        for (checkpoint, out_slots, watch_counts) in fired {
+            let counts: HashMap<Pc, u64> = watch.iter().copied().zip(watch_counts).collect();
+            for slot in out_slots {
+                out[slot] = Some((checkpoint.clone(), counts.clone()));
             }
         }
-
         if remaining > 0 {
             // Report the first unmet marker in input order.
-            let (slot, _) = markers
+            let unmet = markers
                 .iter()
-                .enumerate()
-                .find(|(slot, _)| out[*slot].is_none())
-                .expect("remaining > 0 implies an unmet marker");
-            let executed = seen[&markers[slot].pc];
+                .zip(&out)
+                .find(|(_, o)| o.is_none())
+                .expect("remaining > 0 implies an unmet marker")
+                .0;
+            let executed = tracked.get(unmet.pc).map_or(0, |t| t.executed);
             return Err(PinballError::MarkerNotReached { executed });
         }
         span.arg("instructions", instructions);

@@ -183,8 +183,12 @@ impl Pinball {
             }
             // Run one quantum on this thread.
             for _ in 0..cfg.quantum {
-                match machine.step(tid)? {
-                    StepResult::Retired(r) => {
+                // Matched in place: `?` would move the record out of the
+                // result (see `Replayer::drive`).
+                let step = machine.step(tid);
+                match &step {
+                    Err(e) => return Err(e.clone().into()),
+                    Ok(StepResult::Retired(r)) => {
                         instructions += 1;
                         if r.mem.is_some_and(|m| m.shared) {
                             events.push(RaceEvent {
@@ -199,14 +203,14 @@ impl Pinball {
                             break; // thread halted
                         }
                     }
-                    StepResult::Blocked => {
+                    Ok(StepResult::Blocked) => {
                         events.push(RaceEvent {
                             tid: tid as u32,
                             kind: RaceKind::Block,
                         });
                         break;
                     }
-                    StepResult::Idle => break,
+                    Ok(StepResult::Idle) => break,
                 }
             }
             tid = (tid + 1) % nthreads;
@@ -291,15 +295,16 @@ impl Pinball {
             per_thread: vec![0; self.nthreads],
             ..Default::default()
         };
-        while let Some(r) = rep.step()? {
+        rep.drive(|r, _| {
             stats.instructions += 1;
             stats.per_thread[r.tid] += 1;
             for obs in observers.iter_mut() {
-                obs.on_retire(&r);
+                obs.on_retire(r);
             }
-            if stats.instructions > max_steps {
-                return Err(PinballError::StepLimit { limit: max_steps });
-            }
+            stats.instructions > max_steps
+        })?;
+        if stats.instructions > max_steps {
+            return Err(PinballError::StepLimit { limit: max_steps });
         }
         span.arg("instructions", stats.instructions);
         trace

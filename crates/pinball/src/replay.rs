@@ -92,101 +92,134 @@ impl<'p> Replayer<'p> {
         }
     }
 
-    /// Executes until the next retirement, returning it — or `None` when
-    /// the program has finished.
+    /// Replays forward, pushing every retirement to `on_retire` **by
+    /// reference** in global retirement order, until the program finishes
+    /// or the callback returns `true` (stop). The callback also sees the
+    /// replayer itself, already advanced past the retirement it is shown,
+    /// so it can [`snapshot`](Replayer::snapshot) mid-stream. A stopped
+    /// replayer resumes exactly where it left off on the next call.
+    ///
+    /// This is the one scheduling core of the crate: it owns the replay
+    /// schedule (the lowest-index thread whose next instruction is
+    /// private runs first; with none, the thread the race log names) and
+    /// every [`PinballError::Diverged`] check. The [`Retired`] record is
+    /// never moved out of the step result — a per-instruction copy of a
+    /// record the machine has just written is what used to make replay
+    /// three times slower than bare execution.
     ///
     /// # Errors
     /// [`PinballError::Diverged`] if the log cannot be honoured (which, for
     /// a log recorded from the same program and state, indicates a bug).
-    pub fn step(&mut self) -> Result<Option<Retired>, PinballError> {
-        loop {
-            if self.machine.is_finished() {
-                return Ok(None);
+    pub fn drive(
+        &mut self,
+        mut on_retire: impl FnMut(&Retired, &Self) -> bool,
+    ) -> Result<(), PinballError> {
+        fn diverged(at_event: usize, reason: impl Into<String>) -> PinballError {
+            PinballError::Diverged {
+                at_event,
+                reason: reason.into(),
             }
+        }
+        while !self.machine.is_finished() {
             // Prefer a thread that is off the shared-access critical path.
-            let free = (0..self.class.len()).find(|&t| self.class[t] == Class::Free);
+            let free = self.class.iter().position(|&c| c == Class::Free);
+            let following_log = free.is_none();
             let tid = match free {
                 Some(t) => t,
-                None => {
-                    let Some(ev) = self.events.get(self.idx) else {
+                None => match self.events.get(self.idx) {
+                    Some(ev) => ev.tid as usize,
+                    None => {
                         // Log exhausted with only shared accesses pending:
                         // the recording ended here too, so any remaining
                         // runnable work would be divergence.
-                        if (0..self.class.len()).any(|t| self.class[t] == Class::AtShared) {
-                            return Err(PinballError::Diverged {
-                                at_event: self.idx,
-                                reason: "race log exhausted with shared accesses pending"
-                                    .to_string(),
-                            });
-                        }
-                        return Err(PinballError::Diverged {
-                            at_event: self.idx,
-                            reason: "no runnable thread (deadlock)".to_string(),
-                        });
-                    };
-                    ev.tid as usize
-                }
+                        let pending = self.class.contains(&Class::AtShared);
+                        return Err(diverged(
+                            self.idx,
+                            if pending {
+                                "race log exhausted with shared accesses pending"
+                            } else {
+                                "no runnable thread (deadlock)"
+                            },
+                        ));
+                    }
+                },
             };
 
-            let following_log = free.is_none();
-            match self.machine.step(tid)? {
-                StepResult::Retired(r) => {
+            // Matched in place: `?` would move the record out of the result.
+            let step = self.machine.step(tid);
+            match &step {
+                Err(e) => return Err(e.clone().into()),
+                Ok(StepResult::Retired(r)) => {
                     let was_shared = r.mem.is_some_and(|m| m.shared);
                     if following_log {
                         let ev = self.events[self.idx];
                         if ev.kind != RaceKind::Access || !was_shared {
-                            return Err(PinballError::Diverged {
-                                at_event: self.idx,
-                                reason: format!(
+                            return Err(diverged(
+                                self.idx,
+                                format!(
                                     "expected {:?} by thread {}, got retirement (shared={})",
                                     ev.kind, ev.tid, was_shared
                                 ),
-                            });
+                            ));
                         }
                         self.idx += 1;
                     } else if was_shared {
-                        return Err(PinballError::Diverged {
-                            at_event: self.idx,
-                            reason: format!(
-                                "free-scheduled thread {tid} performed a shared access"
-                            ),
-                        });
+                        return Err(diverged(
+                            self.idx,
+                            format!("free-scheduled thread {tid} performed a shared access"),
+                        ));
                     }
                     self.reclassify(tid);
                     if matches!(r.inst, lp_isa::Inst::FutexWake { .. }) {
                         self.reclassify_woken();
                     }
-                    return Ok(Some(r));
+                    if on_retire(r, self) {
+                        return Ok(());
+                    }
                 }
-                StepResult::Blocked => {
+                Ok(StepResult::Blocked) => {
                     if !following_log {
-                        return Err(PinballError::Diverged {
-                            at_event: self.idx,
-                            reason: format!("free-scheduled thread {tid} blocked"),
-                        });
+                        return Err(diverged(
+                            self.idx,
+                            format!("free-scheduled thread {tid} blocked"),
+                        ));
                     }
                     let ev = self.events[self.idx];
                     if ev.kind != RaceKind::Block {
-                        return Err(PinballError::Diverged {
-                            at_event: self.idx,
-                            reason: format!(
-                                "expected Access by thread {}, but thread blocked",
-                                ev.tid
-                            ),
-                        });
+                        return Err(diverged(
+                            self.idx,
+                            format!("expected Access by thread {}, but thread blocked", ev.tid),
+                        ));
                     }
                     self.idx += 1;
                     self.reclassify(tid);
                     // No retirement; continue scheduling.
                 }
-                StepResult::Idle => {
-                    return Err(PinballError::Diverged {
-                        at_event: self.idx,
-                        reason: format!("log named non-runnable thread {tid}"),
-                    });
+                Ok(StepResult::Idle) => {
+                    return Err(diverged(
+                        self.idx,
+                        format!("log named non-runnable thread {tid}"),
+                    ));
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Executes until the next retirement, returning a copy of it — or
+    /// `None` when the program has finished. A one-retirement
+    /// [`Replayer::drive`]; loops over whole executions should drive the
+    /// replayer instead and take each record by reference.
+    ///
+    /// # Errors
+    /// As [`Replayer::drive`].
+    pub fn step(&mut self) -> Result<Option<Retired>, PinballError> {
+        let mut retired = None;
+        self.drive(|r, _| {
+            retired = Some(*r);
+            true
+        })?;
+        Ok(retired)
     }
 
     /// Takes a snapshot of the current machine state plus the replay

@@ -1,9 +1,9 @@
 //! Property-based record/replay equivalence on randomized contended
 //! programs.
 
-use lp_isa::{Addr, AluOp, Machine, ProgramBuilder, Reg};
+use lp_isa::{Addr, AluOp, Machine, Marker, ProgramBuilder, Reg, Retired};
 use lp_omp::{LockId, OmpRuntime, WaitPolicy, APP_BASE};
-use lp_pinball::{Pinball, RecordConfig};
+use lp_pinball::{Pinball, PinballError, RaceKind, RecordConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -120,4 +120,224 @@ proptest! {
         let b = loaded.replay(p, &mut [], u64::MAX).unwrap();
         prop_assert_eq!(a, b);
     }
+}
+
+/// The retirement stream of one replayer, pulled one `step()` at a time:
+/// every record with the `event_index()` seen right after it.
+fn pulled(mut rep: lp_pinball::Replayer<'_>) -> Vec<(Retired, usize)> {
+    let mut out = Vec::new();
+    while let Some(r) = rep.step().unwrap() {
+        out.push((r, rep.event_index()));
+    }
+    assert!(rep.is_finished());
+    out
+}
+
+/// The same stream as the driver pushes it. `pause_every` makes the
+/// callback stop the driver every that many retirements, so the stream is
+/// assembled from resumed `drive` calls.
+fn pushed(mut rep: lp_pinball::Replayer<'_>, pause_every: usize) -> Vec<(Retired, usize)> {
+    let mut out = Vec::new();
+    while !rep.is_finished() {
+        rep.drive(|r, rep| {
+            out.push((*r, rep.event_index()));
+            out.len() % pause_every == 0
+        })
+        .unwrap();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `Replayer::step` is a one-retirement `Replayer::drive`: pulled and
+    /// pushed streams carry the same `Retired` records and race-log
+    /// positions — from the start of the recording and when resuming from
+    /// a mid-run checkpoint (`snapshot()` + `replayer_from`), which itself
+    /// continues the full stream exactly.
+    #[test]
+    fn step_and_drive_see_the_same_stream(
+        nthreads in 1usize..9,
+        active in any::<bool>(),
+        iters in 8u64..48,
+        chunk in 1u64..8,
+        use_lock in any::<bool>(),
+        quantum in 7u64..300,
+        pause_every in 1usize..50,
+        cut in 1u64..8,
+    ) {
+        let policy = if active { WaitPolicy::Active } else { WaitPolicy::Passive };
+        let p = random_program(nthreads, policy, iters, chunk, use_lock);
+        let pb = Pinball::record(&p, nthreads, RecordConfig { quantum, max_steps: u64::MAX })
+            .unwrap();
+
+        let full = pulled(pb.replayer(p.clone()));
+        prop_assert_eq!(full.len() as u64, pb.instructions());
+        prop_assert_eq!(full.last().unwrap().1, pb.events().len());
+        prop_assert_eq!(&pushed(pb.replayer(p.clone()), usize::MAX), &full);
+        prop_assert_eq!(&pushed(pb.replayer(p.clone()), pause_every), &full);
+
+        // Resume from a checkpoint at the `cut`-th execution of the first
+        // atomic add of the loop body (every iteration executes it).
+        let body = p.symbol("work.loop").unwrap();
+        let ckpt = pb.checkpoint_at(p.clone(), Marker::new(body, cut)).unwrap();
+        let tail = &full[ckpt.instructions_before() as usize..];
+        prop_assert_eq!(ckpt.event_start(), full[ckpt.instructions_before() as usize - 1].1);
+        prop_assert_eq!(&pulled(pb.replayer_from(p.clone(), &ckpt))[..], tail);
+        prop_assert_eq!(&pushed(pb.replayer_from(p.clone(), &ckpt), pause_every)[..], tail);
+    }
+}
+
+/// A hand-laid two-thread program whose race log is known entry by entry:
+/// `[t0 Access, t0 Block, t1 Access, t1 Access, t1 Access, t0 Access]`
+/// (t0 stores, sleeps on a futex; t1 loads, sets the futex word, wakes t0,
+/// whose re-executed wait then retires).
+fn futex_handoff() -> (Arc<lp_isa::Program>, Pinball) {
+    const SHARED: i64 = 0x1000;
+    let mut pb = ProgramBuilder::new("handoff");
+    let worker = pb.new_label();
+    pb.set_worker_entry(worker);
+    let mut c = pb.main_code();
+    c.li(Reg::R1, SHARED);
+    c.store(Reg::R2, Reg::R1, 0);
+    c.futex_wait(Reg::R1, 8, Reg::R0);
+    c.halt();
+    c.bind(worker);
+    c.li(Reg::R1, SHARED);
+    c.li(Reg::R2, 1);
+    c.load(Reg::R3, Reg::R1, 0);
+    c.store(Reg::R2, Reg::R1, 8);
+    c.futex_wake(Reg::R1, 8, 1);
+    c.halt();
+    c.finish();
+    let p = Arc::new(pb.finish());
+    let pinball = Pinball::record(&p, 2, RecordConfig::default()).unwrap();
+    let log: Vec<(u32, RaceKind)> = pinball.events().iter().map(|e| (e.tid, e.kind)).collect();
+    use RaceKind::{Access, Block};
+    assert_eq!(
+        log,
+        [
+            (0, Access),
+            (0, Block),
+            (1, Access),
+            (1, Access),
+            (1, Access),
+            (0, Access)
+        ]
+    );
+    (p, pinball)
+}
+
+/// Rewrites the race log of a serialized pinball (one packed `u32` per
+/// entry, bit 31 = `Block`) and loads the result.
+fn tampered(pinball: &Pinball, edit: impl FnOnce(&mut Vec<u32>)) -> Pinball {
+    let bytes = pinball.to_bytes();
+    // magic, version, name length + name, thread count, instruction count.
+    let count_at = 4 + 4 + 4 + pinball.name().len() + 4 + 8;
+    let log_at = count_at + 8;
+    let log_end = log_at + 4 * pinball.events().len();
+    let mut log: Vec<u32> = bytes[log_at..log_end]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    edit(&mut log);
+    let mut out = bytes[..count_at].to_vec();
+    out.extend((log.len() as u64).to_le_bytes());
+    out.extend(log.iter().flat_map(|e| e.to_le_bytes()));
+    out.extend(&bytes[log_end..]);
+    Pinball::from_bytes(&out).unwrap()
+}
+
+/// Replays a tampered pinball both ways and returns the divergence both
+/// report: `(at_event, reason)`.
+fn divergence(p: &Arc<lp_isa::Program>, pinball: &Pinball) -> (usize, String) {
+    let mut rep = pinball.replayer(p.clone());
+    let pulled = loop {
+        match rep.step() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("tampered log replayed to the end"),
+            Err(e) => break e,
+        }
+    };
+    let pushed = pinball.replayer(p.clone()).drive(|_, _| false).unwrap_err();
+    assert_eq!(pushed, pulled, "step() and drive() diverge identically");
+    assert_eq!(
+        pinball.replay(p.clone(), &mut [], u64::MAX).unwrap_err(),
+        pulled
+    );
+    match pulled {
+        PinballError::Diverged { at_event, reason } => (at_event, reason),
+        other => panic!("expected a divergence, got {other}"),
+    }
+}
+
+const BLOCK: u32 = 1 << 31;
+
+#[test]
+fn untampered_handoff_replays() {
+    let (p, pinball) = futex_handoff();
+    let same = tampered(&pinball, |_| {});
+    assert_eq!(same.to_bytes(), pinball.to_bytes());
+    let stats = same.replay(p, &mut [], u64::MAX).unwrap();
+    assert_eq!(stats.instructions, pinball.instructions());
+}
+
+#[test]
+fn swapped_log_tids_diverge_at_the_first_swapped_entry() {
+    let (p, pinball) = futex_handoff();
+    // Entries 1 (t0 Block) and 2 (t1 Access) trade threads: entry 1 now
+    // wants t1 to block, but t1's load retires.
+    let bad = tampered(&pinball, |log| {
+        log[1] = BLOCK | 1;
+        log[2] = 0;
+    });
+    let (at_event, reason) = divergence(&p, &bad);
+    assert_eq!(at_event, 1);
+    assert_eq!(
+        reason,
+        "expected Block by thread 1, got retirement (shared=true)"
+    );
+}
+
+#[test]
+fn access_flipped_to_block_diverges_on_the_retirement() {
+    let (p, pinball) = futex_handoff();
+    let bad = tampered(&pinball, |log| log[0] |= BLOCK);
+    let (at_event, reason) = divergence(&p, &bad);
+    assert_eq!(at_event, 0);
+    assert_eq!(
+        reason,
+        "expected Block by thread 0, got retirement (shared=true)"
+    );
+}
+
+#[test]
+fn block_flipped_to_access_diverges_when_the_thread_blocks() {
+    let (p, pinball) = futex_handoff();
+    let bad = tampered(&pinball, |log| log[1] &= !BLOCK);
+    let (at_event, reason) = divergence(&p, &bad);
+    assert_eq!(at_event, 1);
+    assert_eq!(reason, "expected Access by thread 0, but thread blocked");
+}
+
+#[test]
+fn truncated_log_diverges_where_it_runs_out() {
+    let (p, pinball) = futex_handoff();
+    for keep in [5, 4, 2] {
+        let bad = tampered(&pinball, |log| log.truncate(keep));
+        let (at_event, reason) = divergence(&p, &bad);
+        assert_eq!(at_event, keep);
+        assert_eq!(reason, "race log exhausted with shared accesses pending");
+    }
+}
+
+#[test]
+fn log_naming_a_blocked_thread_diverges_there() {
+    let (p, pinball) = futex_handoff();
+    // Entry 2 is t1's load; t0 has been asleep since entry 1.
+    let bad = tampered(&pinball, |log| log[2] = 0);
+    let (at_event, reason) = divergence(&p, &bad);
+    assert_eq!(at_event, 2);
+    assert_eq!(reason, "log named non-runnable thread 0");
 }

@@ -368,12 +368,17 @@ impl Simulator {
                     at_instructions: stats.instructions,
                 });
             };
-            match self.machine.step(tid)? {
-                StepResult::Idle => unreachable!("picked a runnable thread"),
-                StepResult::Blocked => {
+            // Consumed in place: `?` or a by-value match would move the
+            // just-written `Retired` record out of the step result, a
+            // per-instruction copy.
+            let step = self.machine.step(tid);
+            match &step {
+                Err(e) => return Err(e.clone().into()),
+                Ok(StepResult::Idle) => unreachable!("picked a runnable thread"),
+                Ok(StepResult::Blocked) => {
                     self.parked[tid] = true;
                 }
-                StepResult::Retired(r) => {
+                Ok(StepResult::Retired(r)) => {
                     steps += 1;
                     stats.instructions += 1;
                     stats.per_thread_instructions[tid] += 1;
@@ -381,7 +386,7 @@ impl Simulator {
                         stats.filtered_instructions += 1;
                     }
 
-                    self.timing.account(&r, mode);
+                    self.timing.account(r, mode);
 
                     if matches!(r.inst, Inst::FutexWake { .. }) {
                         self.unpark_woken(tid);
@@ -410,7 +415,7 @@ impl Simulator {
                         }
                     }
 
-                    if hook(&r) {
+                    if hook(r) {
                         // Count the stop instruction against any watched
                         // markers first, so `watch_count` stays exact for
                         // resumed segments.
