@@ -45,19 +45,6 @@ assert 0 < x <= 2.0, f'pinball.replay_overhead_x {x:.2f} breaches the 2.0 floor'
 print(f'perf-smoke: constrained replay at {x:.2f}x the bare VM')
 " || { echo "perf-smoke: replay floor failed" >&2; exit 1; }
 
-echo "== bench-smoke (analysis cost) =="
-# Quick variant of the analysis-cost benchmark: proves the single-pass
-# checkpoint generator still replays exactly once (asserted inside the
-# bench) and that the emitted JSON is well-formed. Writes to target/ so
-# the committed baseline BENCH_analysis.json is never clobbered by CI.
-SMOKE_OUT="$PWD/target/BENCH_analysis.smoke.json"
-cargo bench --offline -p lp-bench --bench analysis_cost -- --smoke --out "$SMOKE_OUT"
-[ -s "$SMOKE_OUT" ] || { echo "bench-smoke: $SMOKE_OUT missing or empty" >&2; exit 1; }
-for key in workload regions replay_passes checkpoint_generation clustering_sweep end_to_end; do
-  grep -q "\"$key\"" "$SMOKE_OUT" || { echo "bench-smoke: $SMOKE_OUT missing key $key" >&2; exit 1; }
-done
-grep -q '"replay_passes": 1' "$SMOKE_OUT" || { echo "bench-smoke: replay_passes != 1" >&2; exit 1; }
-
 echo "== store-smoke (artifact store) =="
 # Cold run populates a fresh store; warm run must hit and print the
 # served-from-store lines; a flipped byte in a cached artifact must be
@@ -730,5 +717,31 @@ if cg is None:
 if cg["live"]["detailed_pct"] >= 0.40:
     sys.exit(f"BENCH_live.json: npb-cg detailed fraction {cg['live']['detailed_pct']} >= 40%")
 PY
+
+echo "== loc (informational) =="
+# Tracked .rs lines per crate, library source against tests + benches (+
+# examples for the root package): the trend ROADMAP item 3 ("One pipeline,
+# less code") asks for, as one table. Never fails the gate.
+{
+  rs_lines() { git ls-files -z -- "$@" | xargs -0 -r cat | wc -l; }
+  SRC_TOTAL=0
+  ALL_TOTAL=0
+  # row NAME SRC_PATHSPEC ALL_PATHSPEC...
+  row() {
+    local name=$1 src all
+    src=$(rs_lines "$2")
+    shift 2
+    all=$(rs_lines "$@")
+    printf '%-16s %8d %14d\n' "$name" "$src" "$((all - src))"
+    SRC_TOTAL=$((SRC_TOTAL + src))
+    ALL_TOTAL=$((ALL_TOTAL + all))
+  }
+  printf '%-16s %8s %14s\n' package src tests+benches
+  for dir in crates/*; do
+    row "$(basename "$dir")" "$dir/src/*.rs" "$dir/*.rs"
+  done
+  row "(root)" 'src/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs'
+  printf '%-16s %8d %14d   (all: %d)\n' total "$SRC_TOTAL" "$((ALL_TOTAL - SRC_TOTAL))" "$ALL_TOTAL"
+} || echo "loc: skipped (not a git checkout?)"
 
 echo "CI green."

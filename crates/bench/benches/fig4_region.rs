@@ -4,7 +4,7 @@
 use lp_bench::table::{f, title, Table};
 use lp_bench::{analyze_app, SPEC_THREADS};
 use lp_omp::WaitPolicy;
-use lp_sim::{Mode, Simulator, StopCond};
+use lp_sim::{Mode, Simulator};
 use lp_uarch::SimConfig;
 use lp_workloads::InputClass;
 
@@ -65,13 +65,7 @@ fn main() {
     // IPC of the chosen region alone (warmup + detailed).
     if let (Some(s), Some(e)) = (region.start, region.end) {
         let mut sim = Simulator::new(program.clone(), nthreads, cfg);
-        sim.watch_pc(s.pc);
-        sim.watch_pc(e.pc);
-        sim.run(Mode::FastForward, Some(StopCond::Marker(s)), u64::MAX)
-            .unwrap();
-        let stats = sim
-            .run(Mode::Detailed, Some(StopCond::Marker(e)), u64::MAX)
-            .unwrap();
+        let stats = sim.run_region(Some(s), Some(e), u64::MAX).unwrap();
         println!(
             "\nregion IPC = {:.2} over {} instructions (full-app aggregate IPC = {:.2})",
             stats.ipc(),

@@ -6,7 +6,7 @@
 //!     microarchitecture-portability study (analysis is done once and
 //!     reused, exactly as the paper argues it can be).
 
-use looppoint::{error_pct, extrapolate, simulate_representatives, simulate_whole};
+use looppoint::{error_pct, extrapolate, simulate_representatives, simulate_whole, SimOptions};
 use lp_bench::paper;
 use lp_bench::table::{f, title, Table};
 use lp_bench::{analyze_app, evaluate_app, mean, SPEC_THREADS};
@@ -71,8 +71,14 @@ fn main() {
         // One analysis, reused for the other microarchitecture.
         let (program, nthreads, analysis) =
             analyze_app(&spec, InputClass::Train, SPEC_THREADS, WaitPolicy::Passive).unwrap();
-        let results =
-            simulate_representatives(&analysis, &program, nthreads, &inorder, true).unwrap();
+        let results = simulate_representatives(
+            &analysis,
+            &program,
+            nthreads,
+            &inorder,
+            &SimOptions::parallel(),
+        )
+        .unwrap();
         let prediction = extrapolate(&results);
         let full = simulate_whole(&program, nthreads, &inorder).unwrap();
         let err = error_pct(prediction.total_cycles, full.cycles as f64);

@@ -2,8 +2,8 @@
 //! the spin filter, warmup, and projection dimensionality.
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_representatives_opts,
-    simulate_whole, LoopPointConfig,
+    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
+    SimOptions,
 };
 use lp_bench::table::{f, title, Table};
 use lp_bench::SPEC_THREADS;
@@ -17,11 +17,11 @@ fn eval_app(app: &str, cfg: &LoopPointConfig, policy: WaitPolicy, warmup: bool) 
     let program = build(&spec, InputClass::Train, SPEC_THREADS, policy);
     let simcfg = SimConfig::gainestown(SPEC_THREADS);
     let analysis = analyze(&program, n, cfg).unwrap();
-    let results = if warmup {
-        simulate_representatives(&analysis, &program, n, &simcfg, true).unwrap()
-    } else {
-        simulate_representatives_opts(&analysis, &program, n, &simcfg, true, false).unwrap()
+    let opts = SimOptions {
+        warmup,
+        ..SimOptions::parallel()
     };
+    let results = simulate_representatives(&analysis, &program, n, &simcfg, &opts).unwrap();
     let prediction = extrapolate(&results);
     let full = simulate_whole(&program, n, &simcfg).unwrap();
     (

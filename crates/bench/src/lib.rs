@@ -20,7 +20,7 @@ pub mod table;
 use looppoint::{
     analyze, error_pct, extrapolate, simulate_representatives,
     simulate_representatives_checkpointed, simulate_whole, speedups, Analysis, LoopPointConfig,
-    LoopPointError, Prediction, RegionResult, SpeedupReport,
+    LoopPointError, Prediction, RegionResult, SimOptions, SpeedupReport,
 };
 use lp_omp::WaitPolicy;
 use lp_sim::SimStats;
@@ -185,11 +185,12 @@ pub fn evaluate_app_mode(
     // without host contention, so the *parallel* speedup (full wall over
     // the largest single region, §V-B's "assuming sufficient parallel
     // resources") is computed from clean per-region times.
+    let serial = SimOptions::default();
     let results = if checkpointed {
-        simulate_representatives_checkpointed(&analysis, &program, nthreads, simcfg, 2, false)
+        simulate_representatives_checkpointed(&analysis, &program, nthreads, simcfg, 2, &serial)
             .map_err(BenchError::new(spec.name, "region simulation"))?
     } else {
-        simulate_representatives(&analysis, &program, nthreads, simcfg, false)
+        simulate_representatives(&analysis, &program, nthreads, simcfg, &serial)
             .map_err(BenchError::new(spec.name, "region simulation"))?
     };
     let prediction = extrapolate(&results);

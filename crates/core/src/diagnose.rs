@@ -29,10 +29,6 @@ pub fn diagnose(
     full: Option<&SimStats>,
     obs: &Observer,
 ) -> DiagReport {
-    let mut span = obs.span(names::SPAN_DIAG_REPORT, names::CAT_DIAG);
-    span.arg("workload", workload);
-    span.arg("clusters", results.len());
-
     let inputs: Vec<ClusterInput> = results
         .iter()
         .map(|r| {
@@ -51,10 +47,35 @@ pub fn diagnose(
             }
         })
         .collect();
-
     let predicted = extrapolate(results).total_cycles;
-    let actual = full.map_or(predicted, |s| s.cycles as f64);
-    let attribution = attribute(&inputs, actual);
+    report(
+        workload,
+        nthreads,
+        "two-phase",
+        &inputs,
+        full.map_or(predicted, |s| s.cycles as f64),
+        obs,
+    )
+}
+
+/// The tail [`diagnose`] and [`crate::diagnose_live`] share once each has
+/// mapped its clusters onto [`ClusterInput`]s and picked the `actual`
+/// cycle count to judge against: attribution, the `diag.*` metrics, the
+/// self-profile of `obs`'s recorded spans, and the assembled report.
+pub(crate) fn report(
+    workload: &str,
+    nthreads: usize,
+    mode: &str,
+    inputs: &[ClusterInput],
+    actual: f64,
+    obs: &Observer,
+) -> DiagReport {
+    let mut span = obs.span(names::SPAN_DIAG_REPORT, names::CAT_DIAG);
+    span.arg("workload", workload);
+    span.arg("clusters", inputs.len());
+    span.arg("mode", mode);
+
+    let attribution = attribute(inputs, actual);
 
     obs.counter(names::DIAG_REPORTS).inc();
     if attribution.error_pct.is_finite() {
@@ -70,7 +91,7 @@ pub fn diagnose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, simulate_representatives, simulate_whole, LoopPointConfig};
+    use crate::{analyze, simulate_representatives, simulate_whole, LoopPointConfig, SimOptions};
     use lp_omp::WaitPolicy;
     use lp_uarch::SimConfig;
 
@@ -82,7 +103,9 @@ mod tests {
         cfg.obs = obs.clone();
         let analysis = analyze(&program, 2, &cfg).unwrap();
         let simcfg = SimConfig::gainestown(2);
-        let results = simulate_representatives(&analysis, &program, 2, &simcfg, false).unwrap();
+        let results =
+            simulate_representatives(&analysis, &program, 2, &simcfg, &SimOptions::default())
+                .unwrap();
         let full = simulate_whole(&program, 2, &simcfg).unwrap();
 
         let report = diagnose("phased", 2, &analysis, &results, Some(&full), &obs);
@@ -112,7 +135,9 @@ mod tests {
         cfg.obs = obs.clone();
         let analysis = analyze(&program, 2, &cfg).unwrap();
         let simcfg = SimConfig::gainestown(2);
-        let results = simulate_representatives(&analysis, &program, 2, &simcfg, false).unwrap();
+        let results =
+            simulate_representatives(&analysis, &program, 2, &simcfg, &SimOptions::default())
+                .unwrap();
 
         let report = diagnose("phased", 2, &analysis, &results, None, &obs);
         assert_eq!(report.error_cycles, 0.0);

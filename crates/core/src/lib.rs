@@ -24,7 +24,9 @@
 //! Entry points:
 //! * [`analyze`] — the one-time, up-front application analysis (§III-A..E);
 //! * [`simulate_representatives`] — binary-driven unconstrained simulation
-//!   of every looppoint with fast-forward warmup (§III-F, §V-A);
+//!   of every looppoint with fast-forward warmup (§III-F, §V-A), and
+//!   [`simulate_representatives_checkpointed`] — the same from region
+//!   checkpoints;
 //! * [`extrapolate`] — Eq. 1/2 runtime and metric reconstruction (§III-G);
 //! * [`diagnose`] — per-cluster accuracy attribution of the extrapolation
 //!   error (representativeness / warmup / multiplier residual);
@@ -44,7 +46,7 @@
 //! end-to-end: record, replay, slice, cluster, simulate, extrapolate.
 //!
 //! ```
-//! use looppoint::{analyze, simulate_representatives, extrapolate, LoopPointConfig};
+//! use looppoint::{analyze, extrapolate, simulate_representatives, LoopPointConfig, SimOptions};
 //! use lp_isa::{AluOp, ProgramBuilder, Reg};
 //! use lp_omp::{OmpRuntime, WaitPolicy};
 //! use lp_uarch::SimConfig;
@@ -75,7 +77,7 @@
 //! let analysis = analyze(&program, nthreads, &LoopPointConfig::with_slice_base(500))?;
 //! assert!(!analysis.looppoints.is_empty());
 //! let results = simulate_representatives(
-//!     &analysis, &program, nthreads, &SimConfig::gainestown(nthreads), false)?;
+//!     &analysis, &program, nthreads, &SimConfig::gainestown(nthreads), &SimOptions::default())?;
 //! let prediction = extrapolate(&results);
 //! assert!(prediction.total_cycles > 0.0);
 //! # Ok(())
@@ -124,10 +126,8 @@ pub use persist::{
 };
 pub use pipeline::{analyze, Analysis, LoopPointRegion};
 pub use simulate::{
-    prepare_region_checkpoints, prepare_region_checkpoints_per_region, simulate_prepared,
-    simulate_prepared_with_cancel, simulate_representatives, simulate_representatives_checkpointed,
-    simulate_representatives_checkpointed_with, simulate_representatives_opts,
-    simulate_representatives_with, simulate_whole, PreparedCheckpoints, PreparedRegion,
+    prepare_region_checkpoints, simulate_prepared, simulate_representatives,
+    simulate_representatives_checkpointed, simulate_whole, PreparedCheckpoints, PreparedRegion,
     RegionResult, SimOptions,
 };
 pub use speedup::{human_duration, speedups, SimTimeModel, SpeedupReport};

@@ -28,11 +28,11 @@
 
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
-use lp_diag::{attribute, ClusterInput, DiagReport, SelfProfile};
+use lp_diag::{ClusterInput, DiagReport};
 use lp_isa::{Machine, MachineState, Marker, PcTable, Program};
 use lp_live::{Action, Decision, DetailReason, LiveProgress, OnlineClassifier, StreamingSlicer};
 use lp_obs::{names, Observer};
-use lp_sim::{Mode, SimStats, Simulator, StopCond};
+use lp_sim::{Mode, SimStats, Simulator};
 use lp_uarch::SimConfig;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -461,12 +461,9 @@ fn simulate_region_detailed(
     for m in [region.start, region.end].into_iter().flatten() {
         rsim.watch_pc_from(m.pc, ckpt.counts.get(m.pc).copied().unwrap_or(0));
     }
-    if region.start != ckpt.at {
-        if let Some(s) = region.start {
-            rsim.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
-        }
-    }
-    let stats = rsim.run(Mode::Detailed, region.end.map(StopCond::Marker), max_steps)?;
+    // A snapshot taken on the start marker has nothing to fast-forward.
+    let start = region.start.filter(|_| region.start != ckpt.at);
+    let stats = rsim.run_region(start, region.end, max_steps)?;
     span.arg("cycles", stats.cycles);
     span.arg("instructions", stats.instructions);
     Ok(stats)
@@ -569,11 +566,6 @@ pub fn diagnose_live(
     full: Option<&SimStats>,
     obs: &Observer,
 ) -> DiagReport {
-    let mut span = obs.span(names::SPAN_DIAG_REPORT, names::CAT_DIAG);
-    span.arg("workload", workload);
-    span.arg("clusters", outcome.clusters.len());
-    span.arg("mode", "live");
-
     let inputs: Vec<ClusterInput> = outcome
         .clusters
         .iter()
@@ -593,19 +585,14 @@ pub fn diagnose_live(
             mean_member_distance: c.mean_member_distance,
         })
         .collect();
-
-    let actual = full.map_or(outcome.est_total_cycles, |s| s.cycles as f64);
-    let attribution = attribute(&inputs, actual);
-
-    obs.counter(names::DIAG_REPORTS).inc();
-    if attribution.error_pct.is_finite() {
-        obs.gauge(names::DIAG_ERROR_PCT).set(attribution.error_pct);
-    }
-    obs.gauge(names::DIAG_CLUSTERS)
-        .set(attribution.clusters.len() as f64);
-
-    let profile = SelfProfile::from_events(&obs.trace_events());
-    DiagReport::new(workload, nthreads as u64, attribution, profile)
+    crate::diagnose::report(
+        workload,
+        nthreads,
+        "live",
+        &inputs,
+        full.map_or(outcome.est_total_cycles, |s| s.cycles as f64),
+        obs,
+    )
 }
 
 #[cfg(test)]
@@ -658,19 +645,6 @@ mod tests {
             outcome.est_total_cycles,
             full.cycles
         );
-    }
-
-    #[test]
-    fn live_runs_are_deterministic() {
-        let nthreads = 2;
-        let program = phased_program(nthreads, WaitPolicy::Passive, 6);
-        let simcfg = SimConfig::gainestown(nthreads);
-        let run = || {
-            analyze_live(&program, nthreads, &live_cfg(), &simcfg, &mut |_| {})
-                .unwrap()
-                .decision_log()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::LoopPointError;
 use crate::pipeline::{Analysis, LoopPointRegion};
 use crate::pool;
 use lp_isa::{MachineState, Marker, Pc, Program};
-use lp_sim::{Mode, SimError, SimStats, Simulator, StopCond};
+use lp_sim::{SimError, SimStats, Simulator};
 use lp_uarch::SimConfig;
 use std::sync::Arc;
 
@@ -67,8 +67,7 @@ pub struct PreparedCheckpoints {
     pub regions: Vec<PreparedRegion>,
     /// Full pinball replays performed to build the checkpoints. The
     /// single-pass generator keeps this at **1** regardless of region
-    /// count (0 when no region needs a checkpoint); the legacy per-region
-    /// path pays one replay per checkpointed region.
+    /// count (0 when no region needs a checkpoint).
     pub replay_passes: u64,
 }
 
@@ -81,43 +80,12 @@ pub struct RegionResult {
     pub stats: SimStats,
 }
 
-/// Simulates one region: fast-forward (warming caches and predictors) from
-/// program start to the region's start marker, then detailed until its end
-/// marker (§III-F's binary-driven warmup).
-fn simulate_one(
-    region: &LoopPointRegion,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    max_steps: u64,
-    warmup: bool,
-) -> Result<SimStats, SimError> {
-    let obs = lp_obs::global();
-    let mut span = obs.span("region.sim", "pipeline");
-    span.arg("cluster", region.cluster);
-    span.arg("slice_index", region.slice_index);
-    span.arg("multiplier", region.multiplier);
-    let mut sim = Simulator::new(program.clone(), nthreads, simcfg.clone());
-    sim.set_ff_warming(warmup);
-    if let Some(s) = region.start {
-        sim.watch_pc(s.pc);
-    }
-    if let Some(e) = region.end {
-        sim.watch_pc(e.pc);
-    }
-    if let Some(s) = region.start {
-        sim.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
-    }
-    let stats = sim.run(Mode::Detailed, region.end.map(StopCond::Marker), max_steps)?;
-    span.arg("instructions", stats.instructions);
-    span.arg("cycles", stats.cycles);
-    obs.counter("region.sims").inc();
-    Ok(stats)
-}
-
-/// Simulates every looppoint unconstrained on `simcfg`.
+/// Simulates every looppoint unconstrained on `simcfg`, **from reset**:
+/// each region fast-forwards (warming caches and predictors) from program
+/// start to its start marker, then runs detailed to its end marker
+/// (§III-F's binary-driven warmup) — prepared regions with no checkpoints.
 ///
-/// With `parallel = true`, regions run concurrently on a bounded worker
+/// With `opts.parallel`, regions run concurrently on a bounded worker
 /// pool — the deployment §III-J describes (checkpoints simulated in
 /// parallel given enough resources); wall-clock times then feed the
 /// *actual parallel* speedup numbers.
@@ -130,79 +98,32 @@ pub fn simulate_representatives(
     program: &Arc<Program>,
     nthreads: usize,
     simcfg: &SimConfig,
-    parallel: bool,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    simulate_representatives_opts(analysis, program, nthreads, simcfg, parallel, true)
-}
-
-/// Like [`simulate_representatives`], with explicit control over
-/// fast-forward warming (`warmup = false` is the cold-start ablation).
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_opts(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    parallel: bool,
-    warmup: bool,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let opts = SimOptions {
-        parallel,
-        warmup,
-        ..Default::default()
-    };
-    simulate_representatives_with(analysis, program, nthreads, simcfg, &opts)
-}
-
-/// Fully-configurable binary-driven region simulation (see [`SimOptions`]).
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_with(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
     opts: &SimOptions,
 ) -> Result<Vec<RegionResult>, LoopPointError> {
-    let run_one = |region: &LoopPointRegion| -> Result<RegionResult, SimError> {
-        simulate_one(
-            region,
-            program,
-            nthreads,
-            simcfg,
-            opts.max_steps,
-            opts.warmup,
-        )
-        .map(|stats| RegionResult {
+    let regions = analysis
+        .looppoints
+        .iter()
+        .map(|region| PreparedRegion {
             region: region.clone(),
-            stats,
+            checkpoint: None,
         })
+        .collect();
+    let prepared = PreparedCheckpoints {
+        regions,
+        replay_passes: 0,
     };
-    if !opts.parallel {
-        return analysis
-            .looppoints
-            .iter()
-            .map(|region| run_one(region).map_err(LoopPointError::from))
-            .collect();
-    }
-    let workers = pool::effective_pool_size(opts.pool_size, analysis.looppoints.len());
-    pool::run_cancelable(&analysis.looppoints, workers, run_one).map_err(LoopPointError::from)
+    simulate_prepared(&prepared, program, nthreads, simcfg, opts)
 }
 
 /// Builds the per-region checkpoints for
-/// [`simulate_representatives_checkpointed_with`] in a **single pinball
+/// [`simulate_representatives_checkpointed`] in a **single pinball
 /// replay**, regardless of region count.
 ///
 /// Regions are sorted by warmup-marker position into a multi-marker agenda
 /// and batched through [`lp_pinball::Pinball::checkpoints_at`]; each
 /// region's watch counts are filtered back down to its own start/end PCs,
-/// so the prepared payloads are byte-identical to what the legacy
-/// per-region path produces. Snapshot sizes are recorded into the
+/// so the prepared payloads are byte-identical to k one-marker
+/// `checkpoints_at` calls. Snapshot sizes are recorded into the
 /// `region.checkpoint_bytes` histogram.
 ///
 /// # Errors
@@ -245,83 +166,17 @@ pub fn prepare_region_checkpoints(
     let replay_passes = u64::from(!markers.is_empty());
     span.arg("replay_passes", replay_passes);
 
-    let regions = assemble_prepared(analysis, &marker_slots, batch);
-    Ok(PreparedCheckpoints {
-        regions,
-        replay_passes,
-    })
-}
-
-/// The pre-batching checkpoint builder: one full pinball replay **per
-/// region**. Kept as the measured baseline for the analysis-cost benchmark
-/// (`cargo bench --bench analysis_cost`) — O(k·N) against
-/// [`prepare_region_checkpoints`]'s O(N).
-///
-/// # Errors
-/// Replay failures, or a warmup marker the recording never reaches.
-pub fn prepare_region_checkpoints_per_region(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    warmup_slices: usize,
-) -> Result<PreparedCheckpoints, LoopPointError> {
-    let obs = lp_obs::global();
-    let mut span = obs.span("region.checkpoints", "pipeline");
-    span.arg("regions", analysis.looppoints.len());
-    let mut regions: Vec<PreparedRegion> = Vec::with_capacity(analysis.looppoints.len());
-    let mut replay_passes = 0u64;
-    for region in &analysis.looppoints {
-        let warm_idx = region.slice_index.saturating_sub(warmup_slices);
-        let warm_marker = analysis.profile.slices[warm_idx].start;
-        let checkpoint = match warm_marker {
-            None => None,
-            Some(marker) => {
-                let mut watch = Vec::new();
-                for m in [region.start, region.end].into_iter().flatten() {
-                    watch.push(m.pc);
-                }
-                let (ckpt, counts) =
-                    analysis
-                        .pinball
-                        .checkpoint_at_with_counts(program.clone(), marker, &watch)?;
-                replay_passes += 1;
-                record_checkpoint_size(ckpt.state());
-                let counts: Vec<(Pc, u64)> = counts.into_iter().collect();
-                Some((ckpt.state().clone(), counts))
-            }
-        };
-        regions.push(PreparedRegion {
-            region: region.clone(),
-            checkpoint,
-        });
-    }
-    span.arg("replay_passes", replay_passes);
-    Ok(PreparedCheckpoints {
-        regions,
-        replay_passes,
-    })
-}
-
-fn record_checkpoint_size(state: &MachineState) {
-    lp_obs::global()
-        .histogram("region.checkpoint_bytes")
-        .record(state.encoded_len() as u64);
-}
-
-fn assemble_prepared(
-    analysis: &Analysis,
-    marker_slots: &[Option<usize>],
-    mut batch: lp_pinball::MarkerCheckpoints,
-) -> Vec<PreparedRegion> {
-    analysis
+    let checkpoint_bytes = obs.histogram("region.checkpoint_bytes");
+    let regions = analysis
         .looppoints
         .iter()
-        .zip(marker_slots)
+        .zip(&marker_slots)
         .map(|(region, slot)| {
             let checkpoint = slot.map(|i| {
-                let (ckpt, counts) = &mut batch[i];
-                record_checkpoint_size(ckpt.state());
+                let (ckpt, counts) = &batch[i];
+                checkpoint_bytes.record(ckpt.state().encoded_len() as u64);
                 // Filter the union watch counts down to this region's own
-                // start/end PCs (exactly the legacy per-region payload).
+                // start/end PCs.
                 let mut own: Vec<(Pc, u64)> = Vec::new();
                 for m in [region.start, region.end].into_iter().flatten() {
                     if own.iter().all(|&(pc, _)| pc != m.pc) {
@@ -335,7 +190,11 @@ fn assemble_prepared(
                 checkpoint,
             }
         })
-        .collect()
+        .collect();
+    Ok(PreparedCheckpoints {
+        regions,
+        replay_passes,
+    })
 }
 
 /// Simulates every looppoint **checkpoint-driven**: each region restores a
@@ -352,38 +211,9 @@ fn assemble_prepared(
 /// simulation time.
 ///
 /// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
+/// Checkpoint construction failures, then the first region failure;
+/// outstanding parallel work is cancelled.
 pub fn simulate_representatives_checkpointed(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    warmup_slices: usize,
-    parallel: bool,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let opts = SimOptions {
-        parallel,
-        ..Default::default()
-    };
-    simulate_representatives_checkpointed_with(
-        analysis,
-        program,
-        nthreads,
-        simcfg,
-        warmup_slices,
-        &opts,
-    )
-}
-
-/// Fully-configurable checkpoint-driven region simulation (see
-/// [`SimOptions`]): single-pass checkpoint generation, then serial or
-/// bounded-pool region runs.
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_checkpointed_with(
     analysis: &Analysis,
     program: &Arc<Program>,
     nthreads: usize,
@@ -395,9 +225,10 @@ pub fn simulate_representatives_checkpointed_with(
     simulate_prepared(&prepared, program, nthreads, simcfg, opts)
 }
 
-/// Simulates already-prepared region checkpoints (the second half of
-/// [`simulate_representatives_checkpointed_with`]; split out so benchmarks
-/// can time checkpoint construction and simulation separately).
+/// Simulates already-prepared regions, serially or on the bounded pool
+/// (see [`SimOptions`]) — the second half of
+/// [`simulate_representatives_checkpointed`], split out so checkpoint
+/// construction and simulation can be timed and cached separately.
 ///
 /// # Errors
 /// The first region failure is returned; outstanding parallel work is
@@ -423,13 +254,9 @@ pub fn simulate_prepared(
 /// the token is checked before every region (serial and pooled alike), so
 /// a tripped token aborts the sweep with [`LoopPointError::Cancelled`]
 /// after at most one in-flight region per worker completes. This is the
-/// hook the lp-farm service uses for per-job timeouts and explicit
-/// cancellation.
-///
-/// # Errors
-/// The first region failure — or [`LoopPointError::Cancelled`] — is
-/// returned; outstanding parallel work is cancelled.
-pub fn simulate_prepared_with_cancel(
+/// hook [`crate::run_job`] gives the lp-farm service for per-job timeouts
+/// and explicit cancellation.
+pub(crate) fn simulate_prepared_with_cancel(
     prepared: &PreparedCheckpoints,
     program: &Arc<Program>,
     nthreads: usize,
@@ -437,50 +264,55 @@ pub fn simulate_prepared_with_cancel(
     opts: &SimOptions,
     cancel: &crate::CancelToken,
 ) -> Result<Vec<RegionResult>, LoopPointError> {
-    let max_steps = opts.max_steps;
     let run_one = |p: &PreparedRegion| -> Result<RegionResult, LoopPointError> {
         cancel.check()?;
-        let region = &p.region;
-        let obs = lp_obs::global();
-        let mut span = obs.span("region.sim", "pipeline");
-        span.arg("cluster", region.cluster);
-        span.arg("checkpointed", u64::from(p.checkpoint.is_some()));
-        let mut sim = match &p.checkpoint {
-            None => Simulator::new(program.clone(), nthreads, simcfg.clone()),
-            Some((state, counts)) => {
-                let machine = lp_isa::Machine::from_snapshot(program.clone(), state);
-                let mut sim = Simulator::from_machine(machine, simcfg.clone());
-                for &(pc, count) in counts {
-                    sim.watch_pc_from(pc, count);
-                }
-                sim
-            }
-        };
-        sim.set_ff_warming(opts.warmup);
-        if let Some(s) = region.start {
-            sim.watch_pc(s.pc);
-        }
-        if let Some(e) = region.end {
-            sim.watch_pc(e.pc);
-        }
-        if let Some(s) = region.start {
-            sim.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
-        }
-        let stats = sim.run(Mode::Detailed, region.end.map(StopCond::Marker), max_steps)?;
-        span.arg("instructions", stats.instructions);
-        span.arg("cycles", stats.cycles);
-        obs.counter("region.sims").inc();
+        let stats = simulate_prepared_region(p, program, nthreads, simcfg, opts)?;
         Ok(RegionResult {
-            region: region.clone(),
+            region: p.region.clone(),
             stats,
         })
     };
-
     if !opts.parallel {
         return prepared.regions.iter().map(run_one).collect();
     }
     let workers = pool::effective_pool_size(opts.pool_size, prepared.regions.len());
     pool::run_cancelable(&prepared.regions, workers, run_one)
+}
+
+/// Simulates one region: restore its checkpoint (or start from reset when
+/// it has none), seed the marker counts the checkpoint carries, then
+/// [`Simulator::run_region`].
+fn simulate_prepared_region(
+    p: &PreparedRegion,
+    program: &Arc<Program>,
+    nthreads: usize,
+    simcfg: &SimConfig,
+    opts: &SimOptions,
+) -> Result<SimStats, SimError> {
+    let region = &p.region;
+    let obs = lp_obs::global();
+    let mut span = obs.span("region.sim", "pipeline");
+    span.arg("cluster", region.cluster);
+    span.arg("slice_index", region.slice_index);
+    span.arg("multiplier", region.multiplier);
+    span.arg("checkpointed", u64::from(p.checkpoint.is_some()));
+    let mut sim = match &p.checkpoint {
+        None => Simulator::new(program.clone(), nthreads, simcfg.clone()),
+        Some((state, counts)) => {
+            let machine = lp_isa::Machine::from_snapshot(program.clone(), state);
+            let mut sim = Simulator::from_machine(machine, simcfg.clone());
+            for &(pc, count) in counts {
+                sim.watch_pc_from(pc, count);
+            }
+            sim
+        }
+    };
+    sim.set_ff_warming(opts.warmup);
+    let stats = sim.run_region(region.start, region.end, opts.max_steps)?;
+    span.arg("instructions", stats.instructions);
+    span.arg("cycles", stats.cycles);
+    obs.counter("region.sims").inc();
+    Ok(stats)
 }
 
 /// Simulates the whole application in detailed mode (the reference run the

@@ -45,20 +45,14 @@ fn insitu_vs_region() {
         pre.instructions
     );
     // Region sim: FF to start, detailed to end.
-    let mut sim2 = Simulator::new(p.clone(), n, cfg.clone());
-    sim2.watch_pc(s.pc);
-    sim2.watch_pc(e.pc);
-    let ff = sim2
-        .run(Mode::FastForward, Some(StopCond::Marker(s)), u64::MAX)
-        .unwrap();
-    let reg = sim2
-        .run(Mode::Detailed, Some(StopCond::Marker(e)), u64::MAX)
+    let reg = Simulator::new(p.clone(), n, cfg.clone())
+        .run_region(Some(s), Some(e), u64::MAX)
         .unwrap();
     println!(
         "region: insts={} cycles={} ipc={:.2} (ff insts={})",
         reg.instructions,
         reg.cycles,
         reg.instructions as f64 / reg.cycles as f64,
-        ff.instructions
+        reg.ff_instructions
     );
 }

@@ -27,7 +27,7 @@ fn dump_regions() {
             s.index, s.filtered_insts, s.total_insts, analysis.clustering.assignments[s.index]
         );
     }
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let mut pred_cycles = 0.0;
     for r in &results {
         let ipc = r.stats.instructions as f64 / r.stats.cycles.max(1) as f64;

@@ -4,7 +4,7 @@
 
 use looppoint::{
     analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, speedups,
-    LoopPointConfig,
+    LoopPointConfig, SimOptions,
 };
 use lp_isa::{AluOp, ProgramBuilder, Reg};
 use lp_omp::WaitPolicy;
@@ -29,7 +29,8 @@ fn small_cfg() -> LoopPointConfig {
 fn end_to_end(name: &str, policy: WaitPolicy, simcfg: &SimConfig) -> f64 {
     let (p, n) = workload(name, policy);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, simcfg, false).unwrap();
+    let results =
+        simulate_representatives(&analysis, &p, n, simcfg, &SimOptions::default()).unwrap();
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, simcfg).unwrap();
     error_pct(prediction.total_cycles, full.cycles as f64)
@@ -93,7 +94,7 @@ fn looppoints_are_portable_across_microarchitectures() {
     let (p, n) = workload("603.bwaves_s.1", WaitPolicy::Passive);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
     let cfg = SimConfig::gainestown_inorder(NTHREADS);
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
@@ -105,7 +106,7 @@ fn metric_extrapolation_tracks_full_run() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
 
@@ -130,7 +131,7 @@ fn speedup_report_shape() {
     let (p, n) = workload("649.fotonik3d_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let sp = speedups(&analysis, &results, &full);
 
@@ -152,8 +153,9 @@ fn parallel_and_serial_region_simulation_agree() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let serial = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
-    let parallel = simulate_representatives(&analysis, &p, n, &cfg, true).unwrap();
+    let serial = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
+    let parallel =
+        simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::parallel()).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (s, par) in serial.iter().zip(&parallel) {
         assert_eq!(
@@ -171,7 +173,7 @@ fn single_threaded_application_works() {
     assert_eq!(n, 1);
     let cfg = SimConfig::gainestown(1);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
@@ -186,7 +188,7 @@ fn heterogeneous_application_works() {
     assert_eq!(n, 4);
     let cfg = SimConfig::gainestown(4);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
@@ -215,9 +217,16 @@ fn checkpoint_driven_simulation_matches_binary_driven() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let binary = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
-    let ckpt =
-        looppoint::simulate_representatives_checkpointed(&analysis, &p, n, &cfg, 2, false).unwrap();
+    let binary = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
+    let ckpt = looppoint::simulate_representatives_checkpointed(
+        &analysis,
+        &p,
+        n,
+        &cfg,
+        2,
+        &SimOptions::default(),
+    )
+    .unwrap();
 
     let pred_b = extrapolate(&binary).total_cycles;
     let pred_c = extrapolate(&ckpt).total_cycles;

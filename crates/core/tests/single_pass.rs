@@ -1,11 +1,10 @@
-//! Single-pass checkpoint generation: equivalence with the legacy
-//! per-region path, the one-replay guarantee, and serial/pooled simulation
-//! determinism.
+//! Single-pass checkpoint generation: equivalence with one one-marker
+//! `Pinball::checkpoints_at` replay per region, the one-replay guarantee,
+//! and serial/pooled simulation determinism.
 
 use looppoint::{
-    analyze, prepare_region_checkpoints, prepare_region_checkpoints_per_region, simulate_prepared,
-    simulate_representatives_checkpointed, simulate_representatives_checkpointed_with,
-    LoopPointConfig, SimOptions,
+    analyze, prepare_region_checkpoints, simulate_prepared, simulate_representatives_checkpointed,
+    LoopPointConfig, PreparedCheckpoints, PreparedRegion, SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -22,6 +21,34 @@ fn demo_analysis() -> (Arc<lp_isa::Program>, usize, looppoint::Analysis) {
     let cfg = LoopPointConfig::with_slice_base(4_000);
     let analysis = analyze(&p, n, &cfg).unwrap();
     (p, n, analysis)
+}
+
+/// The reference the single-pass generator is held to: one full pinball
+/// replay **per region**, each a one-marker `checkpoints_at` call watching
+/// only that region's own start/end PCs.
+fn prepare_with_one_replay_each(
+    analysis: &looppoint::Analysis,
+    program: &Arc<lp_isa::Program>,
+) -> PreparedCheckpoints {
+    let mut prepared = PreparedCheckpoints {
+        regions: Vec::new(),
+        replay_passes: 0,
+    };
+    for region in &analysis.looppoints {
+        let warm_idx = region.slice_index.saturating_sub(WARMUP_SLICES);
+        let markers = [region.start, region.end];
+        let watch: Vec<_> = markers.iter().flatten().map(|m| m.pc).collect();
+        let checkpoint = analysis.profile.slices[warm_idx].start.map(|marker| {
+            let pinball = &analysis.pinball;
+            let one = pinball.checkpoints_at(program.clone(), &[marker], &watch);
+            let (ckpt, counts) = one.unwrap().pop().unwrap();
+            prepared.replay_passes += 1;
+            (ckpt.state().clone(), counts.into_iter().collect())
+        });
+        let region = region.clone();
+        prepared.regions.push(PreparedRegion { region, checkpoint });
+    }
+    prepared
 }
 
 fn state_bytes(s: &lp_isa::MachineState) -> Vec<u8> {
@@ -60,27 +87,18 @@ fn single_pass_prepares_identical_checkpoints_in_one_replay() {
     );
 
     let single = prepare_region_checkpoints(&analysis, &p, WARMUP_SLICES).unwrap();
-    let legacy = prepare_region_checkpoints_per_region(&analysis, &p, WARMUP_SLICES).unwrap();
+    let reference = prepare_with_one_replay_each(&analysis, &p);
 
     // The headline property: one replay pass regardless of region count.
     assert_eq!(
         single.replay_passes, 1,
         "single-pass generation must replay the pinball exactly once"
     );
-    assert_eq!(
-        legacy.replay_passes,
-        legacy
-            .regions
-            .iter()
-            .filter(|r| r.checkpoint.is_some())
-            .count() as u64,
-        "legacy path replays once per checkpointed region"
-    );
-    assert!(legacy.replay_passes >= 1);
+    assert!(reference.replay_passes >= 1, "no region has a checkpoint");
 
     // Byte-identical payloads, region by region.
-    assert_eq!(single.regions.len(), legacy.regions.len());
-    for (a, b) in single.regions.iter().zip(&legacy.regions) {
+    assert_eq!(single.regions.len(), reference.regions.len());
+    for (a, b) in single.regions.iter().zip(&reference.regions) {
         assert_eq!(a.region.slice_index, b.region.slice_index);
         match (&a.checkpoint, &b.checkpoint) {
             (None, None) => {}
@@ -111,16 +129,23 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
     let simcfg = SimConfig::gainestown(n);
 
     // Serial, via the classic entry point (single-pass prepare inside).
-    let serial =
-        simulate_representatives_checkpointed(&analysis, &p, n, &simcfg, WARMUP_SLICES, false)
-            .unwrap();
+    let serial = simulate_representatives_checkpointed(
+        &analysis,
+        &p,
+        n,
+        &simcfg,
+        WARMUP_SLICES,
+        &SimOptions::default(),
+    )
+    .unwrap();
 
-    // Legacy prepare + serial simulate: the pre-PR result.
-    let legacy_prep = prepare_region_checkpoints_per_region(&analysis, &p, WARMUP_SLICES).unwrap();
-    let legacy = simulate_prepared(&legacy_prep, &p, n, &simcfg, &SimOptions::default()).unwrap();
+    // Per-region prepare + serial simulate: the reference result.
+    let reference_prep = prepare_with_one_replay_each(&analysis, &p);
+    let reference =
+        simulate_prepared(&reference_prep, &p, n, &simcfg, &SimOptions::default()).unwrap();
 
     // Bounded-pool parallel run.
-    let pooled = simulate_representatives_checkpointed_with(
+    let pooled = simulate_representatives_checkpointed(
         &analysis,
         &p,
         n,
@@ -134,12 +159,12 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
     )
     .unwrap();
 
-    assert_eq!(serial.len(), legacy.len());
+    assert_eq!(serial.len(), reference.len());
     assert_eq!(serial.len(), pooled.len());
-    for ((s, l), q) in serial.iter().zip(&legacy).zip(&pooled) {
+    for ((s, l), q) in serial.iter().zip(&reference).zip(&pooled) {
         assert_eq!(s.region.slice_index, l.region.slice_index);
         assert_eq!(s.region.slice_index, q.region.slice_index);
-        assert_stats_eq(&s.stats, &l.stats, "single-pass vs legacy prepare");
+        assert_stats_eq(&s.stats, &l.stats, "single-pass vs per-region prepare");
         assert_stats_eq(&s.stats, &q.stats, "serial vs pooled simulation");
     }
 }

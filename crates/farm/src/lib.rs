@@ -58,13 +58,13 @@
 //! let server = FarmServer::start("127.0.0.1:0", farm.clone())?;
 //! let addr = server.local_addr().to_string();
 //!
-//! let (status, body) = lp_obs::http::client_request(
-//!     &addr, "POST", "/jobs", "{\"program\":\"demo-matrix-1\"}\n")?;
+//! let mut client = lp_obs::http::HttpClient::new(addr);
+//! let (status, body) = client.request("POST", "/jobs", "{\"program\":\"demo-matrix-1\"}\n")?;
 //! assert_eq!(status, 202);
 //! assert!(body.contains("\"state\":\"queued\""));
 //!
 //! farm.wait_idle(std::time::Duration::from_secs(10));
-//! let (status, body) = lp_obs::http::client_request(&addr, "GET", "/jobs/1", "")?;
+//! let (status, body) = client.request("GET", "/jobs/1", "")?;
 //! assert_eq!(status, 200);
 //! assert!(body.contains("\"state\":\"done\""), "{body}");
 //!

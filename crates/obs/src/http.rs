@@ -5,9 +5,8 @@
 //! sizes, `Content-Length` framing only, and just the features the
 //! in-tree servers need. The [`RequestParser`] is *incremental* — it is
 //! fed raw bytes and yields complete requests as they become available —
-//! so the same framing code serves both the blocking one-shot
-//! [`read_request`] path and the nonblocking multiplexed event loop in
-//! [`crate::httpd`], including HTTP/1.1 keep-alive with pipelined
+//! which is what the nonblocking multiplexed event loop in
+//! [`crate::httpd`] needs for HTTP/1.1 keep-alive with pipelined
 //! requests. [`HttpClient`] is the matching reusable keep-alive client.
 //! Keeping it in one place means the telemetry endpoint and the farm
 //! daemon cannot drift apart on protocol details — and both inherit
@@ -23,8 +22,6 @@ pub const MAX_HEAD_BYTES: u64 = 16 * 1024;
 /// Default cap on request body sizes (submitters batching thousands of
 /// jobs should split their batches).
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Per-connection read/write timeout.
-pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A parsed HTTP request: the request line plus an optional body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +66,7 @@ impl Request {
     }
 }
 
-/// Errors from [`read_request`].
+/// Errors from [`RequestParser::take_next`].
 #[derive(Debug)]
 pub enum HttpError {
     /// Underlying socket I/O failed (including timeouts).
@@ -99,45 +96,6 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
-/// Reads and parses one HTTP request from `stream` (blocking).
-///
-/// Sets the connection's read/write timeouts to [`IO_TIMEOUT`], caps the
-/// head at [`MAX_HEAD_BYTES`] and the body at `max_body` bytes. Headers
-/// other than `Content-Length`, `traceparent`, and `Connection` are
-/// parsed past and discarded.
-///
-/// # Errors
-/// I/O failures, malformed framing, or an oversized body.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut parser = RequestParser::new();
-    // Large chunks so a request that is about to be rejected (oversized
-    // body) is usually consumed in full — closing with unread bytes in
-    // the kernel buffer would RST the client before it sees the error.
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if let Some(req) = parser.take_next(max_body)? {
-            return Ok(req);
-        }
-        if parser.at_eof() {
-            // take_next returned None at EOF: nothing arrived at all.
-            return Err(HttpError::Malformed("empty request line"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => parser.mark_eof(),
-            Ok(n) => parser.feed(&chunk[..n]),
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-}
-
 /// Incremental HTTP/1.1 request parser: feed it raw bytes (in whatever
 /// chunks the socket delivers), pull complete [`Request`]s out. Multiple
 /// pipelined requests in one buffer parse as successive [`take_next`]
@@ -162,20 +120,10 @@ impl RequestParser {
     }
 
     /// Marks end-of-stream: a head without its terminating blank line is
-    /// then parsed as-is (tolerated, body empty), matching the historical
-    /// one-shot reader; an incomplete declared body becomes an error.
+    /// then parsed as-is (tolerated, body empty); an incomplete declared
+    /// body becomes an error.
     pub fn mark_eof(&mut self) {
         self.eof = true;
-    }
-
-    /// Whether [`RequestParser::mark_eof`] has been called.
-    pub fn at_eof(&self) -> bool {
-        self.eof
-    }
-
-    /// Whether no unconsumed bytes are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Parses the next complete request out of the buffer, if one is
@@ -362,8 +310,7 @@ impl Response {
 
 /// Serializes `response` with `Content-Length` framing and an explicit
 /// `Connection: keep-alive` / `close` header, ready to write to a
-/// socket. This is the one response encoder — the multiplexed server,
-/// the blocking fallback, and [`write_response`] all share it.
+/// socket. This is the one response encoder.
 pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -382,69 +329,6 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut out = head.into_bytes();
     out.extend_from_slice(&response.body);
     out
-}
-
-/// Writes `response` to `stream` with `Content-Length` framing and
-/// `Connection: close`, then flushes.
-///
-/// # Errors
-/// Socket write failures.
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    stream.write_all(&encode_response(response, false))?;
-    stream.flush()
-}
-
-/// Minimal blocking HTTP client for test harnesses and the `run-looppoint`
-/// client subcommands: one request, `Connection: close`, returns
-/// `(status_code, body)`.
-///
-/// # Errors
-/// Connect/read/write failures, or an unparseable status line.
-pub fn client_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> io::Result<(u16, String)> {
-    client_request_traced(addr, method, path, body, None)
-}
-
-/// [`client_request`] with an optional [`TraceContext`] propagated via
-/// the `traceparent` header, so the server can parent its work under the
-/// caller's trace.
-///
-/// # Errors
-/// Connect/read/write failures, or an unparseable status line.
-pub fn client_request_traced(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    trace: Option<&TraceContext>,
-) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let trace_header = match trace {
-        Some(ctx) => format!("{TRACEPARENT_HEADER}: {}\r\n", ctx.to_traceparent()),
-        None => String::new(),
-    };
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n{trace_header}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut buf = String::new();
-    stream.read_to_string(&mut buf)?;
-    let (head, payload) = buf
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header/body split"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, payload.to_string()))
 }
 
 /// A response as seen by [`HttpClient`]: status code, headers (names
@@ -744,129 +628,123 @@ fn read_client_response(stream: &mut TcpStream) -> io::Result<(ClientResponse, b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use crate::httpd::{HttpServer, ServerConfig};
+    use std::sync::Arc;
 
-    fn serve_once(
-        handler: impl FnOnce(Result<Request, HttpError>) -> Response + Send + 'static,
-    ) -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream, 1024);
-            let resp = handler(req);
-            write_response(&mut stream, &resp).unwrap();
+    /// Parses `raw` as one complete request with a 1 KiB body cap.
+    fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        parser.take_next(1024)
+    }
+
+    /// A server answering every request with what it parsed, one field
+    /// per line: method, path, query, body, trace context.
+    fn describing_server() -> HttpServer {
+        let handler = Arc::new(|req: &Request| {
+            Response::text_ok(format!(
+                "{}\n{}\n{:?}\n{:?}\n{:?}",
+                req.method,
+                req.path,
+                req.query,
+                req.body_text(),
+                req.trace.map(|t| (t.trace_id, t.span_id)),
+            ))
         });
-        addr
+        let obs = crate::Observer::disabled();
+        HttpServer::start("127.0.0.1:0", ServerConfig::default(), handler, obs).unwrap()
     }
 
     #[test]
     fn roundtrips_get_with_query() {
-        let addr = serve_once(|req| {
-            let req = req.unwrap();
-            assert_eq!(req.method, "GET");
-            assert_eq!(req.path, "/jobs");
-            assert_eq!(req.query.as_deref(), Some("state=queued"));
-            assert!(req.body.is_empty());
-            Response::json_ok("{\"ok\":true}".to_string())
-        });
-        let (status, body) = client_request(&addr, "GET", "/jobs?state=queued", "").unwrap();
+        let server = describing_server();
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let (status, body) = client.request("GET", "/jobs?state=queued", "").unwrap();
         assert_eq!(status, 200);
-        assert_eq!(body, "{\"ok\":true}");
+        assert_eq!(body, "GET\n/jobs\nSome(\"state=queued\")\n\"\"\nNone");
     }
 
     #[test]
     fn roundtrips_post_body() {
-        let addr = serve_once(|req| {
-            let req = req.unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.body_text(), "line one\nline two\n");
-            Response::text_ok("accepted".to_string())
-        });
-        let (status, body) =
-            client_request(&addr, "POST", "/jobs", "line one\nline two\n").unwrap();
+        let server = describing_server();
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let (status, body) = client
+            .request("POST", "/jobs", "line one\nline two\n")
+            .unwrap();
         assert_eq!(status, 200);
-        assert_eq!(body, "accepted");
+        assert_eq!(body, "POST\n/jobs\nNone\n\"line one\\nline two\\n\"\nNone");
     }
 
     #[test]
     fn traceparent_header_roundtrips() {
         let ctx = TraceContext::new_root();
-        let expect = ctx;
-        let addr = serve_once(move |req| {
-            let req = req.unwrap();
-            let got = req.trace.expect("traceparent must parse");
-            assert_eq!(got.trace_id, expect.trace_id);
-            assert_eq!(got.span_id, expect.span_id);
-            Response::json_ok("{}".to_string())
-        });
-        let (status, _) = client_request_traced(&addr, "GET", "/x", "", Some(&ctx)).unwrap();
+        let server = describing_server();
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let (status, body) = client.request_traced("GET", "/x", "", Some(&ctx)).unwrap();
         assert_eq!(status, 200);
+        let seen = format!("{:?}", Some((ctx.trace_id, ctx.span_id)));
+        assert_eq!(body.lines().last(), Some(seen.as_str()), "{body}");
     }
 
     #[test]
     fn malformed_traceparent_is_ignored() {
-        let addr = serve_once(|req| {
-            let req = req.unwrap();
-            assert_eq!(
-                req.trace, None,
-                "garbage header must not poison the request"
-            );
-            Response::json_ok("{}".to_string())
-        });
-        let mut stream = TcpStream::connect(&addr).unwrap();
-        write!(
-            stream,
-            "GET /x HTTP/1.1\r\ntraceparent: not-a-context\r\n\r\n"
-        )
-        .unwrap();
-        let mut buf = String::new();
-        stream.read_to_string(&mut buf).unwrap();
-        assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
+        let req = parse(b"GET /x HTTP/1.1\r\ntraceparent: not-a-context\r\n\r\n")
+            .unwrap()
+            .expect("a complete request");
+        assert_eq!(
+            req.trace, None,
+            "garbage header must not poison the request"
+        );
+        // ... and over the wire the request is still served.
+        let server = describing_server();
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let garbage = [(TRACEPARENT_HEADER.to_string(), "not-a-context".to_string())];
+        let resp = client.send("GET", "/x", &garbage, b"", None, true).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.text().lines().last(), Some("None"));
     }
 
     #[test]
     fn oversized_body_is_rejected() {
-        let addr = serve_once(|req| match req {
+        let head = b"POST /jobs HTTP/1.1\r\nContent-Length: 4096\r\n\r\n";
+        match parse(head) {
             Err(HttpError::BodyTooLarge { declared, limit }) => {
-                assert!(declared > limit);
-                Response::new("413 Payload Too Large", "text/plain", String::new())
+                assert_eq!((declared, limit), (4096, 1024));
             }
             other => panic!("expected BodyTooLarge, got {other:?}"),
-        });
-        let big = "x".repeat(4096);
-        let (status, _) = client_request(&addr, "POST", "/jobs", &big).unwrap();
-        assert_eq!(status, 413);
+        }
     }
 
     #[test]
     fn extra_headers_and_retry_after() {
-        let addr = serve_once(|_req| {
+        let busy = || {
             Response::new(
                 "503 Service Unavailable",
                 "application/json",
                 "{\"error\":\"queue full\"}".to_string(),
             )
             .with_header("Retry-After", 2)
-        });
-        let mut stream = TcpStream::connect(&addr).unwrap();
-        write!(stream, "GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut buf = String::new();
-        stream.read_to_string(&mut buf).unwrap();
-        assert!(buf.starts_with("HTTP/1.1 503"), "{buf}");
-        assert!(buf.contains("Retry-After: 2\r\n"), "{buf}");
+        };
+        let wire = String::from_utf8(encode_response(&busy(), false)).unwrap();
+        assert!(wire.starts_with("HTTP/1.1 503"), "{wire}");
+        assert!(wire.contains("Retry-After: 2\r\n"), "{wire}");
+
+        let obs = crate::Observer::disabled();
+        let handler = Arc::new(move |_: &Request| busy());
+        let server =
+            HttpServer::start("127.0.0.1:0", ServerConfig::default(), handler, obs).unwrap();
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let resp = client.send("GET", "/", &[], b"", None, true).unwrap();
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("retry-after"), Some("2"));
+        assert_eq!(resp.text(), "{\"error\":\"queue full\"}");
     }
 
     #[test]
     fn malformed_request_line_is_an_error() {
-        let addr = serve_once(|req| match req {
-            Err(HttpError::Malformed(_)) => Response::bad_request("malformed"),
+        match parse(b"\r\n\r\n") {
+            Err(HttpError::Malformed(_)) => {}
             other => panic!("expected Malformed, got {other:?}"),
-        });
-        let mut stream = TcpStream::connect(&addr).unwrap();
-        stream.write_all(b"\r\n\r\n").unwrap();
-        let mut buf = String::new();
-        stream.read_to_string(&mut buf).unwrap();
-        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        }
     }
 }

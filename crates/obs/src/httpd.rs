@@ -3,22 +3,17 @@
 //! telemetry endpoint ([`crate::serve::TelemetryServer`]) and the
 //! `lp-farm` front door.
 //!
-//! Two interchangeable reactors drive the same handler:
+//! One reactor drives the handler: a single nonblocking readiness loop
+//! over `poll(2)` owns every socket (unix is the supported platform).
+//! Complete requests parsed off a connection are dispatched *in order* to
+//! a bounded handler thread pool; responses flow back through a completion
+//! channel and a loopback wakeup byte, and the reactor writes them out.
+//! One slow or idle client costs one pollfd, not a blocked thread.
 //!
-//! * **`poll`** (unix, the default): a single nonblocking readiness loop
-//!   over `poll(2)` owns every socket. Complete requests parsed off a
-//!   connection are dispatched *in order* to a bounded handler thread
-//!   pool; responses flow back through a completion channel and a
-//!   loopback wakeup byte, and the reactor writes them out. One slow or
-//!   idle client costs one pollfd, not a blocked thread.
-//! * **`threads`** (portable fallback, or `LP_HTTP_REACTOR=threads`): a
-//!   bounded pool of blocking workers, each serving one connection's
-//!   keep-alive loop at a time.
-//!
-//! Both enforce a max-connections guard, per-connection idle timeouts,
-//! and honor `Connection: close`. The `unsafe` `poll(2)` shim is
-//! confined to the tiny [`sys`] module; everything else is safe code on
-//! the std networking types.
+//! It enforces a max-connections guard, per-connection idle timeouts, and
+//! honors `Connection: close`. The `unsafe` `poll(2)` shim is confined to
+//! the tiny [`sys`] module; everything else is safe code on the std
+//! networking types.
 
 use crate::http::{encode_response, HttpError, Request, RequestParser, Response};
 use crate::names;
@@ -30,20 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReactorMode {
-    /// `poll(2)` readiness loop on unix, thread pool elsewhere. The
-    /// `LP_HTTP_REACTOR` environment variable (`poll` / `threads`)
-    /// overrides the choice at runtime.
-    Auto,
-    /// Force the `poll(2)` readiness loop (falls back to threads off
-    /// unix).
-    Poll,
-    /// Force the portable bounded handler-thread-pool loop.
-    Threads,
-}
 
 /// Tuning for an [`HttpServer`].
 #[derive(Debug, Clone)]
@@ -57,8 +38,6 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Handler pool width (concurrent request dispatch).
     pub handler_threads: usize,
-    /// Reactor selection.
-    pub reactor: ReactorMode,
     /// Base name for the server's threads (shows up in panics/debuggers).
     pub thread_name: String,
 }
@@ -70,7 +49,6 @@ impl Default for ServerConfig {
             max_connections: 128,
             idle_timeout: Duration::from_secs(5),
             handler_threads: 4,
-            reactor: ReactorMode::Auto,
             thread_name: "lp-httpd".to_string(),
         }
     }
@@ -80,47 +58,20 @@ impl Default for ServerConfig {
 /// arrival order within each connection (pipelining never reorders).
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReactorKind {
-    Poll,
-    Threads,
-}
-
-fn resolve_reactor(mode: ReactorMode) -> ReactorKind {
-    let forced = std::env::var("LP_HTTP_REACTOR").ok();
-    let wanted = match forced.as_deref() {
-        Some("threads") => ReactorMode::Threads,
-        Some("poll") => ReactorMode::Poll,
-        _ => mode,
-    };
-    match wanted {
-        ReactorMode::Threads => ReactorKind::Threads,
-        ReactorMode::Poll | ReactorMode::Auto => {
-            if cfg!(unix) {
-                ReactorKind::Poll
-            } else {
-                ReactorKind::Threads
-            }
-        }
-    }
-}
-
 /// A running multiplexed HTTP server; dropping (or [`HttpServer::stop`])
 /// shuts it down and joins every thread it owns.
 #[must_use = "dropping the server handle shuts it down"]
 pub struct HttpServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// `poll` mode: the write end of the loopback wakeup pair.
-    /// `threads` mode: `None` (stop wakes the accept loop by connecting).
-    waker: Mutex<Option<TcpStream>>,
+    /// The write end of the loopback wakeup pair.
+    waker: Mutex<TcpStream>,
     handle: Option<JoinHandle<()>>,
-    mode: &'static str,
 }
 
 impl std::fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HttpServer({}, {})", self.local_addr, self.mode)
+        write!(f, "HttpServer({})", self.local_addr)
     }
 }
 
@@ -139,60 +90,33 @@ impl HttpServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        match resolve_reactor(cfg.reactor) {
-            #[cfg(unix)]
-            ReactorKind::Poll => {
-                // A connected loopback pair is the std-only wakeup
-                // channel: pool threads (and stop) write one byte, the
-                // reactor polls the read end.
-                let wake_listener = TcpListener::bind("127.0.0.1:0")?;
-                let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-                let (wake_rx, _) = wake_listener.accept()?;
-                wake_rx.set_nonblocking(true)?;
-                listener.set_nonblocking(true)?;
-                let pool_wake = wake_tx.try_clone()?;
-                let loop_stop = Arc::clone(&stop);
-                let name = cfg.thread_name.clone();
-                let handle = std::thread::Builder::new().name(name).spawn(move || {
-                    poll_reactor::run(
-                        listener, wake_rx, pool_wake, &cfg, &handler, &obs, &loop_stop,
-                    );
-                })?;
-                Ok(HttpServer {
-                    local_addr,
-                    stop,
-                    waker: Mutex::new(Some(wake_tx)),
-                    handle: Some(handle),
-                    mode: "poll",
-                })
-            }
-            #[cfg(not(unix))]
-            ReactorKind::Poll => unreachable!("poll reactor is never resolved off unix"),
-            ReactorKind::Threads => {
-                let loop_stop = Arc::clone(&stop);
-                let name = cfg.thread_name.clone();
-                let handle = std::thread::Builder::new().name(name).spawn(move || {
-                    run_threads(&listener, &cfg, &handler, &obs, &loop_stop);
-                })?;
-                Ok(HttpServer {
-                    local_addr,
-                    stop,
-                    waker: Mutex::new(None),
-                    handle: Some(handle),
-                    mode: "threads",
-                })
-            }
-        }
+        // A connected loopback pair is the std-only wakeup channel: pool
+        // threads (and stop) write one byte, the reactor polls the read
+        // end.
+        let wake_listener = TcpListener::bind("127.0.0.1:0")?;
+        let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
+        let (wake_rx, _) = wake_listener.accept()?;
+        wake_rx.set_nonblocking(true)?;
+        listener.set_nonblocking(true)?;
+        let pool_wake = wake_tx.try_clone()?;
+        let loop_stop = Arc::clone(&stop);
+        let name = cfg.thread_name.clone();
+        let handle = std::thread::Builder::new().name(name).spawn(move || {
+            poll_reactor::run(
+                listener, wake_rx, pool_wake, &cfg, &handler, &obs, &loop_stop,
+            );
+        })?;
+        Ok(HttpServer {
+            local_addr,
+            stop,
+            waker: Mutex::new(wake_tx),
+            handle: Some(handle),
+        })
     }
 
     /// The bound address (relevant with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Which reactor is driving this server: `"poll"` or `"threads"`.
-    pub fn mode(&self) -> &'static str {
-        self.mode
     }
 
     /// Shuts the server down and joins its threads.
@@ -203,16 +127,7 @@ impl HttpServer {
     fn shutdown_inner(&mut self) {
         if let Some(handle) = self.handle.take() {
             self.stop.store(true, Ordering::SeqCst);
-            match self.waker.lock().expect("waker lock").as_mut() {
-                Some(wake) => {
-                    let _ = wake.write_all(&[1]);
-                }
-                None => {
-                    // Unblock the blocking accept with a throwaway
-                    // connection.
-                    let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-                }
-            }
+            let _ = self.waker.lock().expect("waker lock").write_all(&[1]);
             let _ = handle.join();
         }
     }
@@ -238,9 +153,6 @@ fn error_response(e: &HttpError) -> Response {
     }
 }
 
-// ---------------------------------------------------------------- poll --
-
-#[cfg(unix)]
 mod sys {
     //! The one `unsafe` corner: a direct `poll(2)` declaration (std
     //! already links libc on unix). Everything above talks to the safe
@@ -284,7 +196,6 @@ mod sys {
     }
 }
 
-#[cfg(unix)]
 mod poll_reactor {
     use super::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
     use super::*;
@@ -583,162 +494,12 @@ mod poll_reactor {
     }
 }
 
-// ------------------------------------------------------------- threads --
-
-/// The portable fallback: a bounded pool of blocking workers, each
-/// owning one connection's keep-alive loop at a time. Bounded by
-/// construction — at most `handler_threads` connections are serviced
-/// concurrently; the rest wait in the hand-off channel / accept backlog.
-fn run_threads(
-    listener: &TcpListener,
-    cfg: &ServerConfig,
-    handler: &Handler,
-    obs: &Observer,
-    stop: &AtomicBool,
-) {
-    let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.max_connections.max(1));
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let open = Arc::new(Mutex::new(0usize));
-    // Workers cannot borrow the caller's stop flag ('static closures);
-    // the accept loop mirrors it into this owned flag at shutdown.
-    let stop_flag = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for i in 0..cfg.handler_threads.max(1) {
-        let rx = Arc::clone(&conn_rx);
-        let handler = Arc::clone(handler);
-        let worker_obs = obs.clone();
-        let worker_cfg = cfg.clone();
-        let open = Arc::clone(&open);
-        let stop_flag = Arc::clone(&stop_flag);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("{}-h{i}", cfg.thread_name))
-                .spawn(move || loop {
-                    let stream = {
-                        let guard = rx.lock().expect("conn hand-off lock");
-                        guard.recv()
-                    };
-                    let Ok(stream) = stream else { break };
-                    if stop_flag.load(Ordering::SeqCst) {
-                        continue; // drain and drop during shutdown
-                    }
-                    {
-                        let mut n = open.lock().expect("open count lock");
-                        *n += 1;
-                        worker_obs
-                            .gauge(names::SERVE_OPEN_CONNECTIONS)
-                            .set(*n as f64);
-                    }
-                    serve_blocking_conn(stream, &worker_cfg, &handler, &worker_obs, &stop_flag);
-                    {
-                        let mut n = open.lock().expect("open count lock");
-                        *n = n.saturating_sub(1);
-                        worker_obs
-                            .gauge(names::SERVE_OPEN_CONNECTIONS)
-                            .set(*n as f64);
-                    }
-                })
-                .expect("spawn http worker thread"),
-        );
-    }
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let _ = conn_tx.send(stream);
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-    stop_flag.store(true, Ordering::SeqCst);
-    drop(conn_tx);
-    for h in handles {
-        let _ = h.join();
-    }
-    obs.gauge(names::SERVE_OPEN_CONNECTIONS).set(0.0);
-}
-
-/// One blocking keep-alive loop: parse → handle → respond, until the
-/// peer closes, asks for `Connection: close`, goes idle past the
-/// timeout, or the server stops.
-fn serve_blocking_conn(
-    mut stream: TcpStream,
-    cfg: &ServerConfig,
-    handler: &Handler,
-    obs: &Observer,
-    stop: &AtomicBool,
-) {
-    // A short read timeout keeps the worker responsive to stop and idle
-    // deadlines without a reactor.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_nodelay(true);
-    let mut parser = RequestParser::new();
-    let mut served: u64 = 0;
-    let mut last_activity = Instant::now();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match parser.take_next(cfg.max_body) {
-            Ok(Some(req)) => {
-                served += 1;
-                if served > 1 {
-                    obs.counter(names::SERVE_KEEPALIVE_REUSES).inc();
-                }
-                obs.counter(names::SERVE_REQUESTS).inc();
-                let resp = handler(&req);
-                let keep = !req.close;
-                if stream.write_all(&encode_response(&resp, keep)).is_err() || !keep {
-                    return;
-                }
-                last_activity = Instant::now();
-                continue;
-            }
-            Ok(None) => {}
-            Err(e) => {
-                let _ = stream.write_all(&encode_response(&error_response(&e), false));
-                obs.counter(names::SERVE_ERRORS).inc();
-                return;
-            }
-        }
-        if parser.at_eof() {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => parser.mark_eof(),
-            Ok(n) => {
-                parser.feed(&chunk[..n]);
-                last_activity = Instant::now();
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if last_activity.elapsed() > cfg.idle_timeout {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::HttpClient;
 
-    fn echo_server(reactor: ReactorMode) -> HttpServer {
+    fn echo_server() -> HttpServer {
         let handler: Handler = Arc::new(|req: &Request| {
             Response::json_ok(format!(
                 "{{\"path\":{},\"len\":{}}}",
@@ -748,17 +509,16 @@ mod tests {
         });
         HttpServer::start(
             "127.0.0.1:0",
-            ServerConfig {
-                reactor,
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
             handler,
             Observer::enabled(),
         )
         .unwrap()
     }
 
-    fn exercise_keepalive(server: &HttpServer) {
+    #[test]
+    fn serves_keepalive_requests_on_one_connection() {
+        let server = echo_server();
         let addr = server.local_addr().to_string();
         let mut client = HttpClient::new(&addr);
         for i in 0..5 {
@@ -770,29 +530,12 @@ mod tests {
             assert!(body.contains("\"len\":7"), "{body}");
         }
         assert_eq!(client.reuses(), 4, "five requests, one connection");
-    }
-
-    #[test]
-    fn poll_reactor_serves_keepalive_requests() {
-        let server = echo_server(ReactorMode::Poll);
-        if cfg!(unix) {
-            assert_eq!(server.mode(), "poll");
-        }
-        exercise_keepalive(&server);
-        server.stop();
-    }
-
-    #[test]
-    fn threads_reactor_serves_keepalive_requests() {
-        let server = echo_server(ReactorMode::Threads);
-        assert_eq!(server.mode(), "threads");
-        exercise_keepalive(&server);
         server.stop();
     }
 
     #[test]
     fn pipelined_requests_answer_in_order() {
-        let server = echo_server(ReactorMode::Auto);
+        let server = echo_server();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -812,10 +555,20 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let server = echo_server(ReactorMode::Auto);
-        let addr = server.local_addr().to_string();
-        let (status, body) = crate::http::client_request(&addr, "GET", "/one", "").unwrap();
-        assert_eq!(status, 200, "{body}");
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+            .write_all(b"GET /one HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        // Reading to EOF only returns if the server hangs up after the
+        // one response.
+        let mut buf = String::new();
+        stream.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
+        assert!(buf.contains("Connection: close\r\n"), "{buf}");
         server.stop();
     }
 
@@ -833,8 +586,14 @@ mod tests {
         .unwrap();
         let addr = server.local_addr().to_string();
         let big = "x".repeat(64);
-        let (status, _) = crate::http::client_request(&addr, "POST", "/jobs", &big).unwrap();
+        let mut client = HttpClient::new(&addr);
+        let (status, _) = client.request("POST", "/jobs", &big).unwrap();
         assert_eq!(status, 413);
+        // Nothing after a framing failure is trustworthy: the server hung
+        // up, so the next request rides a fresh connection.
+        let (status, _) = client.request("GET", "/jobs", "").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(client.reuses(), 0, "413 must close the connection");
         server.stop();
     }
 }

@@ -60,7 +60,7 @@ pub mod tracectx;
 
 pub use crate::log::{log_enabled, log_level, set_log_level, LogLevel};
 pub use flush::{write_atomic, FlushTargets, PeriodicFlusher};
-pub use httpd::{HttpServer, ReactorMode, ServerConfig};
+pub use httpd::{HttpServer, ServerConfig};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use serve::TelemetryServer;
 pub use timeseries::{History, HistoryColumn, HistorySampler, Sample};

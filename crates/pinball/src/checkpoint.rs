@@ -73,7 +73,8 @@ impl RegionCheckpoint {
 
 impl Pinball {
     /// Replays until the `marker.count`-th global execution of `marker.pc`
-    /// and snapshots the machine there.
+    /// and snapshots the machine there — a one-marker
+    /// [`Pinball::checkpoints_at`]: one replay per call.
     ///
     /// # Errors
     /// [`PinballError::MarkerNotReached`] if the recording ends first, plus
@@ -83,27 +84,8 @@ impl Pinball {
         program: Arc<Program>,
         marker: Marker,
     ) -> Result<RegionCheckpoint, PinballError> {
-        self.checkpoint_at_with_counts(program, marker, &[])
-            .map(|(ckpt, _)| ckpt)
-    }
-
-    /// Like [`Pinball::checkpoint_at`], additionally returning the global
-    /// execution counts that each `watch` PC had reached at the checkpoint
-    /// — what a simulator resuming from the checkpoint needs to keep using
-    /// whole-program `(PC, count)` markers. A one-marker
-    /// [`Pinball::checkpoints_at`]: one replay per call.
-    ///
-    /// # Errors
-    /// [`PinballError::MarkerNotReached`] if the recording ends first, plus
-    /// any replay error.
-    pub fn checkpoint_at_with_counts(
-        &self,
-        program: Arc<Program>,
-        marker: Marker,
-        watch: &[Pc],
-    ) -> Result<(RegionCheckpoint, HashMap<Pc, u64>), PinballError> {
-        let mut batch = self.checkpoints_at(program, &[marker], watch)?;
-        Ok(batch.pop().expect("one output per input marker"))
+        let mut batch = self.checkpoints_at(program, &[marker], &[])?;
+        Ok(batch.pop().expect("one output per input marker").0)
     }
 
     /// Single-pass, multi-marker checkpoint generation: performs **one**
@@ -111,7 +93,7 @@ impl Pinball {
     /// `(PC, count)` marker, returning one `(checkpoint, watch counts)`
     /// pair per input marker, in input order.
     ///
-    /// Where k [`Pinball::checkpoint_at_with_counts`] calls replay the
+    /// Where k [`Pinball::checkpoint_at`] calls replay the
     /// whole recording k times (O(k·N) retired instructions before any
     /// checkpoint is usable), this carries an agenda of pending markers
     /// through a single replay (O(N)) — the one-logging-pass region-pinball
@@ -340,7 +322,9 @@ mod tests {
         assert_eq!(batch.len(), markers.len());
         for (i, marker) in markers.iter().enumerate() {
             let (want_ckpt, want_counts) = pb
-                .checkpoint_at_with_counts(p.clone(), *marker, &watch)
+                .checkpoints_at(p.clone(), &[*marker], &watch)
+                .unwrap()
+                .pop()
                 .unwrap();
             let (got_ckpt, got_counts) = &batch[i];
             assert_eq!(got_ckpt.marker(), want_ckpt.marker());

@@ -18,7 +18,9 @@
 //! simulation (contrast with `lp-pinball`'s constrained replay).
 //!
 //! Regions are delimited by `(PC, count)` [`Marker`]s — LoopPoint's
-//! microarchitecture-invariant region boundaries.
+//! microarchitecture-invariant region boundaries — and
+//! [`Simulator::run_region`] is the one place that fast-forwards to a
+//! start marker and then simulates in detail to an end marker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +32,6 @@ mod timing;
 
 pub use core_model::CoreTiming;
 pub use lp_isa::Marker;
-pub use simulator::{
-    simulate_full, simulate_region, Mode, RegionSim, SimError, Simulator, StopCond,
-};
+pub use simulator::{simulate_full, Mode, SimError, Simulator, StopCond};
 pub use stats::{IpcSample, SimStats};
 pub use timing::TimingModel;

@@ -91,13 +91,6 @@ impl From<MachineError> for SimError {
     }
 }
 
-/// Result of a region simulation: warmup plus detailed stats.
-#[derive(Debug, Clone)]
-pub struct RegionSim {
-    /// Detailed statistics for the region (warmup fields filled in).
-    pub stats: SimStats,
-}
-
 /// Unconstrained multicore timing simulator.
 ///
 /// Threads map 1:1 onto cores; a min-cycle scheduler always steps the
@@ -145,11 +138,6 @@ impl Simulator {
     /// # Panics
     /// Panics if `nthreads` exceeds the configured core count.
     pub fn new(program: Arc<Program>, nthreads: usize, cfg: SimConfig) -> Self {
-        assert!(
-            nthreads <= cfg.ncores,
-            "team of {nthreads} exceeds {} cores",
-            cfg.ncores
-        );
         Self::from_machine(Machine::new(program, nthreads), cfg)
     }
 
@@ -162,27 +150,8 @@ impl Simulator {
     /// # Panics
     /// Panics if the machine's thread count exceeds the configured cores.
     pub fn from_machine(machine: Machine, cfg: SimConfig) -> Self {
-        let nthreads = machine.num_threads();
-        assert!(
-            nthreads <= cfg.ncores,
-            "team of {nthreads} exceeds {} cores",
-            cfg.ncores
-        );
-        // Threads already parked on futexes at the checkpoint must not be
-        // scheduled until woken.
-        let parked = (0..nthreads)
-            .map(|tid| matches!(machine.thread_state(tid), ThreadState::Blocked { .. }))
-            .collect();
-        Simulator {
-            timing: TimingModel::new(cfg, nthreads),
-            parked,
-            watch: Vec::new(),
-            sample_interval: None,
-            ff_instructions: 0,
-            ff_wall: std::time::Duration::ZERO,
-            machine,
-            obs: lp_obs::global(),
-        }
+        let timing = TimingModel::new(cfg, machine.num_threads());
+        Self::from_machine_warm(machine, timing)
     }
 
     /// Creates a simulator resuming from a machine state **with warm
@@ -204,6 +173,8 @@ impl Simulator {
             "timing checkpoint is for {} cores, machine has {nthreads} threads",
             timing.ncores()
         );
+        // Threads already parked on futexes at the checkpoint must not be
+        // scheduled until woken.
         let parked = (0..nthreads)
             .map(|tid| matches!(machine.thread_state(tid), ThreadState::Blocked { .. }))
             .collect();
@@ -513,6 +484,37 @@ impl Simulator {
         Ok(stats)
     }
 
+    /// Runs one region, the paper's one operation on a looppoint (§III-F):
+    /// fast-forwards (warming caches and predictors unless
+    /// [`Simulator::set_ff_warming`] turned that off) to `start`, then
+    /// simulates in detail until `end`, and returns the detailed segment's
+    /// statistics with the warmup accounted in the `ff_*` fields.
+    ///
+    /// `start = None` begins the detailed segment where the simulator
+    /// stands (program reset, or a snapshot taken on the start marker);
+    /// `end = None` runs it to program end. Both marker PCs are watched
+    /// here; a simulator resumed from a checkpoint seeds their counts with
+    /// [`Simulator::watch_pc_from`] first.
+    ///
+    /// # Errors
+    /// As [`Simulator::run`]; in particular a marker that is never reached
+    /// — including a `start` whose seeded count is already past it —
+    /// surfaces as [`SimError::MarkerNotReached`].
+    pub fn run_region(
+        &mut self,
+        start: Option<Marker>,
+        end: Option<Marker>,
+        max_steps: u64,
+    ) -> Result<SimStats, SimError> {
+        for m in [start, end].into_iter().flatten() {
+            self.watch_pc(m.pc);
+        }
+        if let Some(s) = start {
+            self.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
+        }
+        self.run(Mode::Detailed, end.map(StopCond::Marker), max_steps)
+    }
+
     fn unpark_woken(&mut self, waker: usize) {
         let wake_cycle = self.timing.core_now(waker);
         for tid in 0..self.parked.len() {
@@ -536,34 +538,6 @@ pub fn simulate_full(
 ) -> Result<SimStats, SimError> {
     let mut sim = Simulator::new(program, nthreads, cfg);
     sim.run(Mode::Detailed, None, max_steps)
-}
-
-/// Runs one region: fast-forwards (with warming) from program start to
-/// `start`, then simulates in detail until `end`.
-///
-/// Passing `start = None` begins detailed simulation at program start.
-///
-/// # Errors
-/// Propagates any [`SimError`]; in particular markers that are never
-/// reached surface as [`SimError::MarkerNotReached`].
-pub fn simulate_region(
-    program: Arc<Program>,
-    nthreads: usize,
-    cfg: SimConfig,
-    start: Option<Marker>,
-    end: Marker,
-    max_steps: u64,
-) -> Result<RegionSim, SimError> {
-    let mut sim = Simulator::new(program, nthreads, cfg);
-    if let Some(s) = start {
-        sim.watch_pc(s.pc);
-    }
-    sim.watch_pc(end.pc);
-    if let Some(s) = start {
-        sim.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
-    }
-    let stats = sim.run(Mode::Detailed, Some(StopCond::Marker(end)), max_steps)?;
-    Ok(RegionSim { stats })
 }
 
 #[cfg(test)]
@@ -627,19 +601,37 @@ mod tests {
         // Region = stream iterations 100..=200 (global counts).
         let start = Marker::new(stream_hdr, 100);
         let end = Marker::new(stream_hdr, 200);
-        let cfg = lp_uarch::SimConfig::gainestown(1);
-        let region = simulate_region(p, 1, cfg, Some(start), end, BUDGET).unwrap();
+        let mut sim = Simulator::new(p, 1, lp_uarch::SimConfig::gainestown(1));
+        let stats = sim.run_region(Some(start), Some(end), BUDGET).unwrap();
         // 100 stream iterations x 5 instructions (load/add/add/sub/branch).
-        assert_eq!(region.stats.instructions, 500);
-        assert!(region.stats.ff_instructions > 0, "warmup happened");
+        assert_eq!(stats.instructions, 500);
+        assert!(stats.ff_instructions > 0, "warmup happened");
     }
 
     #[test]
     fn marker_not_reached_is_reported() {
         let (p, hdr) = two_phase_program(10);
-        let cfg = lp_uarch::SimConfig::gainestown(1);
-        let err = simulate_region(p, 1, cfg, None, Marker::new(hdr, 500), BUDGET).unwrap_err();
+        let mut sim = Simulator::new(p, 1, lp_uarch::SimConfig::gainestown(1));
+        let err = sim
+            .run_region(None, Some(Marker::new(hdr, 500)), BUDGET)
+            .unwrap_err();
         assert!(matches!(err, SimError::MarkerNotReached { .. }), "{err}");
+    }
+
+    #[test]
+    fn start_marker_behind_the_seeded_count_is_an_error() {
+        let (p, hdr) = two_phase_program(50);
+        let mut sim = Simulator::new(p, 1, lp_uarch::SimConfig::gainestown(1));
+        // As if resumed from a checkpoint taken after the 20th execution.
+        sim.watch_pc_from(hdr, 20);
+        let start = Marker::new(hdr, 10);
+        let err = sim
+            .run_region(Some(start), Some(Marker::new(hdr, 40)), BUDGET)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::MarkerNotReached { marker, .. } if marker == start),
+            "{err}"
+        );
     }
 
     #[test]

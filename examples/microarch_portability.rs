@@ -4,6 +4,7 @@
 
 use looppoint::{
     analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
+    SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -27,7 +28,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for simcfg in [SimConfig::gainestown(8), SimConfig::gainestown_inorder(8)] {
-        let results = simulate_representatives(&analysis, &program, nthreads, &simcfg, true)?;
+        let results = simulate_representatives(
+            &analysis,
+            &program,
+            nthreads,
+            &simcfg,
+            &SimOptions::parallel(),
+        )?;
         let prediction = extrapolate(&results);
         let full = simulate_whole(&program, nthreads, &simcfg)?;
         println!(

@@ -6,7 +6,7 @@
 
 use looppoint::{
     analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, speedups,
-    LoopPointConfig,
+    LoopPointConfig, SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -44,7 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Simulate each representative unconstrained (warmup + detailed),
     //    in parallel.
-    let results = simulate_representatives(&analysis, &program, nthreads, &simcfg, true)?;
+    let results = simulate_representatives(
+        &analysis,
+        &program,
+        nthreads,
+        &simcfg,
+        &SimOptions::parallel(),
+    )?;
 
     // 3. Extrapolate whole-program performance (Eq. 1-2).
     let prediction = extrapolate(&results);

@@ -7,6 +7,7 @@
 use looppoint::baselines::{analyze_naive, extrapolate_naive, simulate_naive_regions};
 use looppoint::{
     analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
+    SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -32,7 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // LoopPoint.
         let analysis = analyze(&program, nthreads, &lp_cfg)?;
-        let results = simulate_representatives(&analysis, &program, nthreads, &simcfg, true)?;
+        let results = simulate_representatives(
+            &analysis,
+            &program,
+            nthreads,
+            &simcfg,
+            &SimOptions::parallel(),
+        )?;
         let prediction = extrapolate(&results);
         let full = simulate_whole(&program, nthreads, &simcfg)?;
         let lp_err = error_pct(prediction.total_cycles, full.cycles as f64);

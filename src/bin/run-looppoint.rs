@@ -22,8 +22,8 @@
 
 use looppoint::{
     analyze, analyze_cached, diagnose, error_pct, extrapolate, prepare_region_checkpoints_cached,
-    simulate_prepared, simulate_representatives_checkpointed_with, simulate_whole, speedups,
-    DiagReport, LoopPointConfig, SimOptions, DEFAULT_MAX_STEPS,
+    simulate_prepared, simulate_representatives_checkpointed, simulate_whole, speedups, DiagReport,
+    LoopPointConfig, SimOptions, DEFAULT_MAX_STEPS,
 };
 use lp_farm::{Farm, FarmConfig, FarmServer, PipelineBackend, ShutdownMode};
 use lp_farm_proto::FarmClient;
@@ -457,7 +457,7 @@ fn run_one(
             }
             simulate_prepared(&prepared, &program, nthreads, &simcfg, &sim_opts)?
         }
-        None => simulate_representatives_checkpointed_with(
+        None => simulate_representatives_checkpointed(
             &analysis, &program, nthreads, &simcfg, 2, &sim_opts,
         )?,
     };

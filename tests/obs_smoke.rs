@@ -8,7 +8,9 @@
 //! * `SimStats` round-trips exactly through the metrics registry
 //!   (instructions, cycles, filtered_instructions).
 
-use looppoint_repro::looppoint::{analyze, simulate_representatives_checkpointed, LoopPointConfig};
+use looppoint_repro::looppoint::{
+    analyze, simulate_representatives_checkpointed, LoopPointConfig, SimOptions,
+};
 use looppoint_repro::obs::{self, json, Observer, TraceArg};
 use looppoint_repro::omp::WaitPolicy;
 use looppoint_repro::sim::{Mode, Simulator};
@@ -29,9 +31,15 @@ fn end_to_end_pipeline_exports_valid_trace_and_metrics() {
     let cfg = LoopPointConfig::with_slice_base(8_000).with_observer(observer.clone());
     let analysis = analyze(&program, nthreads, &cfg).expect("analysis succeeds");
     let simcfg = SimConfig::gainestown(4);
-    let results =
-        simulate_representatives_checkpointed(&analysis, &program, nthreads, &simcfg, 2, false)
-            .expect("region simulation succeeds");
+    let results = simulate_representatives_checkpointed(
+        &analysis,
+        &program,
+        nthreads,
+        &simcfg,
+        2,
+        &SimOptions::default(),
+    )
+    .expect("region simulation succeeds");
     assert!(!results.is_empty());
 
     // Every pipeline layer left a span.
