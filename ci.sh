@@ -76,6 +76,13 @@ RECOVERED_ERR=$(grep 'runtime error' "$STORE_LOG")
 [ "$COLD_ERR" = "$RECOVERED_ERR" ] || { echo "store-smoke: recovery result differs from cold" >&2; exit 1; }
 rm -rf "$STORE_DIR"
 
+echo "== help-smoke (generated help) =="
+# Top-level help and every subcommand's: exit 0 and something on stdout.
+for cmd in "" live serve submit status trace top shutdown farm-load; do
+  HELP_OUT=$("${RUNNER[@]}" $cmd --help) && [ -n "$HELP_OUT" ] \
+    || { echo "help-smoke: '$cmd --help' failed or printed nothing" >&2; exit 1; }
+done
+
 echo "== bench-smoke (store reuse) =="
 # Quick variant of the store-reuse benchmark: asserts warm==cold bytewise
 # and replay_passes==0 internally; validate the JSON schema here. Writes
@@ -568,95 +575,6 @@ wait "$CL_PID_A" || { cat "$CLUSTER_ROOT/a.log" >&2; echo "cluster-smoke: node A
 wait "$CL_PID_B" || { cat "$CLUSTER_ROOT/b.log" >&2; echo "cluster-smoke: node B exited non-zero" >&2; exit 1; }
 wait "$CL_PID_C" 2>/dev/null || true
 rm -rf "$CLUSTER_ROOT"
-
-echo "== bench-smoke (farm throughput) =="
-# Quick variant of the farm-throughput benchmark: asserts one compute per
-# unique spec and full dedup of duplicates internally; validate the JSON
-# schema here. Writes to target/ so the committed baseline BENCH_farm.json
-# is not clobbered.
-FARM_SMOKE_OUT="$PWD/target/BENCH_farm.smoke.json"
-cargo bench --offline -p lp-bench --bench farm_throughput -- --smoke --out "$FARM_SMOKE_OUT"
-[ -s "$FARM_SMOKE_OUT" ] || { echo "farm-bench-smoke: $FARM_SMOKE_OUT missing or empty" >&2; exit 1; }
-for key in workers burst unique_specs wall_ms jobs_per_sec dedup queue_latency_us \
-            keepalive batch journal_fsyncs journal_transitions smoke; do
-  grep -q "\"$key\"" "$FARM_SMOKE_OUT" || { echo "farm-bench-smoke: missing key $key" >&2; exit 1; }
-done
-for key in submitted computes hits ratio p50 p99 clients reuses batch_posts single_posts; do
-  grep -q "\"$key\"" "$FARM_SMOKE_OUT" || { echo "farm-bench-smoke: missing key $key" >&2; exit 1; }
-done
-# And the committed full-scale baseline keeps the multi-tenant dedup claim
-# plus the event-driven data-plane floor: >= 3x the serial-accept
-# baseline's 186 jobs/s on the same 48-job burst, connection reuse, and
-# group-committed fsyncs strictly below journaled transitions.
-python3 - <<'PY'
-import json, sys
-with open("BENCH_farm.json") as f:
-    j = json.load(f)
-d = j["dedup"]
-if d["computes"] != j["unique_specs"]:
-    sys.exit(f"BENCH_farm.json: {d['computes']} computes != {j['unique_specs']} unique specs")
-if d["hits"] != d["submitted"] - d["computes"]:
-    sys.exit(f"BENCH_farm.json: dedup hits {d['hits']} inconsistent")
-if d["ratio"] < 0.5:
-    sys.exit(f"BENCH_farm.json: dedup ratio {d['ratio']} < 0.5")
-if j["jobs_per_sec"] <= 0 or j["queue_latency_us"]["p99"] < j["queue_latency_us"]["p50"]:
-    sys.exit("BENCH_farm.json: implausible throughput/latency numbers")
-if j["jobs_per_sec"] < 560:
-    sys.exit(f"BENCH_farm.json: jobs_per_sec {j['jobs_per_sec']} < 560 (3x baseline floor)")
-if j["keepalive"]["reuses"] <= 0:
-    sys.exit("BENCH_farm.json: keep-alive clients never reused a connection")
-if j["batch"]["batch_posts"] <= 0 or j["batch"]["single_posts"] <= 0:
-    sys.exit("BENCH_farm.json: burst must mix batch and single POSTs")
-if not 0 < j["journal_fsyncs"] < j["journal_transitions"]:
-    sys.exit(f"BENCH_farm.json: fsyncs {j['journal_fsyncs']} not below transitions {j['journal_transitions']}")
-PY
-
-echo "== bench-smoke (farm cluster) =="
-# Quick variant of the cluster benchmark: in-process 1/2/3-node rings
-# over the real pipeline backend, with the dedup/forwarding/fetch
-# invariants asserted inside the bench. Writes to target/ so the
-# committed baseline BENCH_cluster.json is not clobbered.
-CLUSTER_SMOKE_OUT="$PWD/target/BENCH_cluster.smoke.json"
-cargo bench --offline -p lp-bench --bench farm_cluster -- --smoke --out "$CLUSTER_SMOKE_OUT"
-[ -s "$CLUSTER_SMOKE_OUT" ] || { echo "cluster-bench-smoke: $CLUSTER_SMOKE_OUT missing or empty" >&2; exit 1; }
-for key in burst unique_specs workers_per_node scaling cross_node_fetch dedup_floor federation smoke; do
-  grep -q "\"$key\"" "$CLUSTER_SMOKE_OUT" || { echo "cluster-bench-smoke: missing key $key" >&2; exit 1; }
-done
-# The committed full-scale baseline keeps the cluster claims: identical
-# compute count at every ring width (adding nodes never loses dedup),
-# the >= 0.8 cluster-wide dedup floor, real forwarding at width > 1, and
-# a store-served cross-node fetch path with zero pipeline recomputes.
-python3 - <<'PY'
-import json, sys
-with open("BENCH_cluster.json") as f:
-    j = json.load(f)
-if j.get("smoke"):
-    sys.exit("BENCH_cluster.json: committed baseline must be a full run")
-rows = j["scaling"]
-if [r["nodes"] for r in rows] != [1, 2, 3]:
-    sys.exit(f"BENCH_cluster.json: expected 1/2/3-node rows, got {rows}")
-for r in rows:
-    if r["computes"] != j["unique_specs"]:
-        sys.exit(f"BENCH_cluster.json: {r['nodes']} nodes did {r['computes']} computes "
-                 f"!= {j['unique_specs']} unique specs")
-    if r["nodes"] > 1 and r["forwarded"] <= 0:
-        sys.exit(f"BENCH_cluster.json: {r['nodes']}-node ring never forwarded")
-    if r["jobs_per_sec"] <= 0:
-        sys.exit(f"BENCH_cluster.json: implausible throughput at {r['nodes']} nodes")
-if j["dedup_floor"] < 0.8:
-    sys.exit(f"BENCH_cluster.json: dedup floor {j['dedup_floor']} < 0.8")
-fetch = j["cross_node_fetch"]
-if fetch["pipeline_recomputes"] != 0:
-    sys.exit(f"BENCH_cluster.json: cross-node fetch recomputed {fetch['pipeline_recomputes']} times")
-if fetch["store_fetch_hits"] < j["unique_specs"]:
-    sys.exit(f"BENCH_cluster.json: only {fetch['store_fetch_hits']} store fetch hits "
-             f"for {j['unique_specs']} specs")
-fed = j["federation"]
-if not 0 < fed["p50_us"] <= fed["p99_us"]:
-    sys.exit(f"BENCH_cluster.json: implausible federation latency {fed}")
-if fed["nodes"] != 3 or fed["scrapes"] <= 0:
-    sys.exit(f"BENCH_cluster.json: federation must scrape a 3-node ring: {fed}")
-PY
 
 echo "== live-smoke (one-pass online sampling) =="
 # One-pass live run with no profiling prequel: the acceptance workload

@@ -18,50 +18,19 @@
 //! variant; `--out PATH` to redirect the JSON).
 
 use looppoint::{error_pct, run_job, simulate_whole, LiveConfig, LoopPointConfig, SimOptions};
-use lp_obs::json;
+use lp_bench::{obj, BenchArgs};
+use lp_obs::json::Value;
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
-use lp_workloads::{build, matrix_demo, InputClass, WorkloadSpec};
+use lp_workloads::{build, InputClass};
 use std::time::Instant;
 
 const NTHREADS: usize = 2;
 const SLICE_BASE: u64 = 2_000;
 const WARMUP_SLICES: usize = 2;
 
-struct Args {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: std::env::var("BENCH_LIVE_OUT").unwrap_or_else(|_| "BENCH_live.json".to_string()),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            // `cargo bench` passes --bench through; ignore unknown flags so
-            // the target stays harness-compatible.
-            _ => {}
-        }
-    }
-    args
-}
-
-fn resolve(name: &str) -> Option<WorkloadSpec> {
-    match name {
-        "demo-matrix-1" => Some(matrix_demo(1)),
-        "demo-matrix-2" => Some(matrix_demo(2)),
-        "demo-matrix-3" => Some(matrix_demo(3)),
-        other => lp_workloads::find(other),
-    }
-}
-
 fn main() {
-    let args = parse_args();
+    let args = BenchArgs::parse("BENCH_live.json");
     let workloads: &[&str] = if args.smoke {
         &["npb-cg"]
     } else {
@@ -74,9 +43,9 @@ fn main() {
         if args.smoke { "(smoke)" } else { "" }
     );
 
-    let mut rows = String::new();
-    for (i, name) in workloads.iter().enumerate() {
-        let spec = resolve(name).expect("bench workload exists");
+    let mut rows = Vec::new();
+    for name in workloads {
+        let spec = lp_workloads::find(name).expect("bench workload exists");
         let nthreads = spec.effective_threads(NTHREADS);
         let program = build(&spec, InputClass::Test, NTHREADS, WaitPolicy::Passive);
         let simcfg = SimConfig::gainestown(nthreads.max(NTHREADS));
@@ -117,34 +86,41 @@ fn main() {
             live.detailed_fraction() * 100.0,
         );
 
-        rows.push_str(&format!(
-            "  {{\"workload\": \"{name}\", \"nthreads\": {nthreads},\n   \
-             \"full\": {{\"cycles\": {}, \"ms\": {full_ms:.1}}},\n   \
-             \"two_phase\": {{\"predicted_cycles\": {:.1}, \"err_pct\": {two_phase_err:.3}, \"regions\": {}, \"clusters\": {}, \"ms\": {two_phase_ms:.1}}},\n   \
-             \"live\": {{\"est_cycles\": {:.1}, \"err_pct\": {live_err:.3}, \"regions\": {}, \"clusters\": {}, \"detailed_regions\": {}, \"detailed_pct\": {:.4}, \"ms\": {live_ms:.1}}}}}{}\n",
-            full.cycles,
-            two_phase.predicted_cycles,
-            two_phase.regions,
-            two_phase.clusters,
-            live.est_total_cycles,
-            live.regions.len(),
-            live.clusters.len(),
-            live.detailed_regions,
-            live.detailed_fraction(),
-            if i + 1 == workloads.len() { "" } else { "," },
-        ));
+        rows.push(obj([
+            ("workload", (*name).into()),
+            ("nthreads", (nthreads as u64).into()),
+            (
+                "full",
+                obj([("cycles", full.cycles.into()), ("ms", full_ms.into())]),
+            ),
+            (
+                "two_phase",
+                obj([
+                    ("predicted_cycles", two_phase.predicted_cycles.into()),
+                    ("err_pct", two_phase_err.into()),
+                    ("regions", (two_phase.regions as u64).into()),
+                    ("clusters", (two_phase.clusters as u64).into()),
+                    ("ms", two_phase_ms.into()),
+                ]),
+            ),
+            (
+                "live",
+                obj([
+                    ("est_cycles", live.est_total_cycles.into()),
+                    ("err_pct", live_err.into()),
+                    ("regions", (live.regions.len() as u64).into()),
+                    ("clusters", (live.clusters.len() as u64).into()),
+                    ("detailed_regions", (live.detailed_regions as u64).into()),
+                    ("detailed_pct", live.detailed_fraction().into()),
+                    ("ms", live_ms.into()),
+                ]),
+            ),
+        ]));
     }
 
-    let json_text = format!(
-        "{{\n \"slice_base\": {SLICE_BASE},\n \"rows\": [\n{rows} ],\n \"smoke\": {}\n}}\n",
-        args.smoke
-    );
-    // Self-validate before writing: the committed baseline and the CI gate
-    // both rely on this file being well-formed.
-    let parsed = json::parse(&json_text).expect("benchmark JSON must parse");
-    for key in ["slice_base", "rows", "smoke"] {
-        assert!(parsed.get(key).is_some(), "missing key {key}");
-    }
-    std::fs::write(&args.out, &json_text).expect("write BENCH_live.json");
-    println!("\nwrote {}", args.out);
+    args.write(&obj([
+        ("slice_base", SLICE_BASE.into()),
+        ("rows", Value::Arr(rows)),
+        ("smoke", Value::Bool(args.smoke)),
+    ]));
 }

@@ -22,7 +22,9 @@
 
 use looppoint::persist::{encode_clustering, encode_profile};
 use looppoint::{analyze_cached, prepare_region_checkpoints_cached, LoopPointConfig};
-use lp_obs::{json, Observer};
+use lp_bench::{obj, BenchArgs};
+use lp_obs::json::Value;
+use lp_obs::Observer;
 use lp_omp::WaitPolicy;
 use lp_store::Store;
 use lp_workloads::{build, spec_workloads, InputClass};
@@ -31,29 +33,6 @@ use std::time::Instant;
 
 const NTHREADS: usize = 8;
 const WARMUP_SLICES: usize = 2;
-
-struct Args {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: std::env::var("BENCH_STORE_OUT").unwrap_or_else(|_| "BENCH_store.json".to_string()),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            // `cargo bench` passes --bench through; ignore unknown flags so
-            // the target stays harness-compatible.
-            _ => {}
-        }
-    }
-    args
-}
 
 fn fresh_store_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -75,7 +54,7 @@ fn time_ms(f: impl FnOnce()) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = BenchArgs::parse("BENCH_store.json");
     let (input, slice_base): (InputClass, u64) = if args.smoke {
         (InputClass::Test, 2_000)
     } else {
@@ -179,34 +158,38 @@ fn main() {
         configs.len()
     );
 
-    let compression = if stats.bytes_stored > 0 {
-        stats.bytes_raw as f64 / stats.bytes_stored as f64
-    } else {
-        1.0
-    };
-    let json_text = format!(
-        "{{\n  \"workload\": \"{}\",\n  \"nthreads\": {},\n  \"slice_base\": {},\n  \
-         \"cold\": {{\"cold_ms\": {cold_ms:.3}, \"warm_ms\": {warm_ms:.3}, \"speedup\": {speedup:.3}}},\n  \
-         \"sweep\": {{\"configs\": {}, \"cold_ms\": {sweep_cold_ms:.3}, \"warm_ms\": {sweep_warm_ms:.3}, \"speedup\": {sweep_speedup:.3}}},\n  \
-         \"store\": {{\"artifacts\": {}, \"bytes_raw\": {}, \"bytes_stored\": {}, \"compression_ratio\": {compression:.3}}},\n  \
-         \"smoke\": {}\n}}\n",
-        spec.name,
-        nthreads,
-        slice_base,
-        configs.len(),
-        store.len(),
-        stats.bytes_raw,
-        stats.bytes_stored,
-        args.smoke
-    );
-    // Self-validate before writing: the committed baseline and the CI gate
-    // both rely on this file being well-formed.
-    let parsed = json::parse(&json_text).expect("benchmark JSON must parse");
-    for key in ["workload", "cold", "sweep", "store"] {
-        assert!(parsed.get(key).is_some(), "missing key {key}");
-    }
-    std::fs::write(&args.out, &json_text).expect("write BENCH_store.json");
-    println!("\nwrote {}", args.out);
+    args.write(&obj([
+        ("workload", spec.name.into()),
+        ("nthreads", (nthreads as u64).into()),
+        ("slice_base", slice_base.into()),
+        (
+            "cold",
+            obj([
+                ("cold_ms", cold_ms.into()),
+                ("warm_ms", warm_ms.into()),
+                ("speedup", speedup.into()),
+            ]),
+        ),
+        (
+            "sweep",
+            obj([
+                ("configs", (configs.len() as u64).into()),
+                ("cold_ms", sweep_cold_ms.into()),
+                ("warm_ms", sweep_warm_ms.into()),
+                ("speedup", sweep_speedup.into()),
+            ]),
+        ),
+        (
+            "store",
+            obj([
+                ("artifacts", (store.len() as u64).into()),
+                ("bytes_raw", stats.bytes_raw.into()),
+                ("bytes_stored", stats.bytes_stored.into()),
+                ("compression_ratio", stats.compression_ratio().into()),
+            ]),
+        ),
+        ("smoke", Value::Bool(args.smoke)),
+    ]));
 
     // Cleanup: bench stores are throwaway.
     let _ = std::fs::remove_dir_all(&dir);

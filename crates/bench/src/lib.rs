@@ -22,11 +22,13 @@ use looppoint::{
     simulate_representatives_checkpointed, simulate_whole, speedups, Analysis, LoopPointConfig,
     LoopPointError, Prediction, RegionResult, SimOptions, SpeedupReport,
 };
+use lp_obs::json::Value;
 use lp_omp::WaitPolicy;
 use lp_sim::SimStats;
 use lp_uarch::SimConfig;
 use lp_workloads::{build, InputClass, WorkloadSpec};
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A pipeline failure inside a bench run, carrying which workload and
@@ -75,6 +77,51 @@ impl std::error::Error for BenchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         Some(&self.source)
     }
+}
+
+/// Command line of the targets that write a `BENCH_*.json`: `--smoke`
+/// selects the CI gate's quick variant, `--out PATH` redirects the JSON
+/// away from the committed baseline.
+pub struct BenchArgs {
+    /// Run the quick variant.
+    pub smoke: bool,
+    /// Where [`BenchArgs::write`] puts the document.
+    pub out: PathBuf,
+}
+
+impl BenchArgs {
+    /// Parses the process arguments; `baseline` is the committed file the
+    /// target regenerates when `--out` is absent.
+    pub fn parse(baseline: &str) -> BenchArgs {
+        let mut args = BenchArgs {
+            smoke: false,
+            out: PathBuf::from(baseline),
+        };
+        let mut argv = std::env::args().skip(1);
+        // `cargo bench` passes --bench through; anything unknown is
+        // ignored so the target stays harness-compatible.
+        while let Some(arg) = argv.next() {
+            if arg == "--smoke" {
+                args.smoke = true;
+            } else if arg == "--out" {
+                args.out = PathBuf::from(argv.next().expect("--out needs a path"));
+            }
+        }
+        args
+    }
+
+    /// Writes `doc` through the production serializer, atomically.
+    pub fn write(&self, doc: &Value) {
+        lp_obs::write_atomic(&self.out, format!("{doc}\n").as_bytes())
+            .unwrap_or_else(|e| panic!("writing {}: {e}", self.out.display()));
+        println!("\nwrote {}", self.out.display());
+    }
+}
+
+/// A JSON object of `members`, in order.
+pub fn obj<const N: usize>(members: [(&str, Value); N]) -> Value {
+    let members = members.into_iter().map(|(k, v)| (k.to_string(), v));
+    Value::Obj(members.collect())
 }
 
 /// Thread count used for the SPEC-like evaluation (the paper's default).

@@ -14,8 +14,10 @@ use crate::config::LoopPointConfig;
 use crate::error::LoopPointError;
 use crate::extrapolate::extrapolate;
 use crate::persist::{analyze_cached, prepare_region_checkpoints_cached};
-use crate::pipeline::analyze;
-use crate::simulate::{prepare_region_checkpoints, simulate_prepared_with_cancel, SimOptions};
+use crate::pipeline::{analyze, Analysis};
+use crate::simulate::{
+    prepare_region_checkpoints, simulate_prepared_with_cancel, RegionResult, SimOptions,
+};
 use lp_isa::Program;
 use lp_store::Store;
 use lp_uarch::SimConfig;
@@ -75,16 +77,44 @@ impl JobSummary {
     }
 }
 
-/// Runs the full sampled pipeline for one program: analysis (cached when
-/// `store` is given), single-pass checkpoint generation (ditto), region
-/// simulation honoring `cfg.cancel`, and Eq. 1/2 extrapolation.
-///
-/// `warmup_slices` is the checkpoint warmup window (the paper's default
-/// deployment uses 2).
+/// Everything one pipeline run produced, before it is condensed into a
+/// [`JobSummary`]: callers that go on to compare against a reference run
+/// (the driver's speedup and accuracy-attribution reports) need the
+/// analysis and the per-region results themselves.
+#[derive(Debug)]
+pub struct JobOutcome {
+    /// The analysis (profile, clustering, looppoints).
+    pub analysis: Analysis,
+    /// Per-region simulation results, in looppoint order.
+    pub results: Vec<RegionResult>,
+    /// Whether the analysis was served from the artifact store.
+    pub analysis_from_store: bool,
+    /// Whether region checkpoints were served from the artifact store.
+    pub checkpoints_from_store: bool,
+}
+
+impl JobOutcome {
+    /// Extrapolates (Eq. 1/2) and condenses the run into its summary.
+    pub fn summary(&self) -> JobSummary {
+        let prediction = extrapolate(&self.results);
+        JobSummary {
+            slices: self.analysis.profile.slices.len(),
+            clusters: self.analysis.clustering.k,
+            regions: self.results.len(),
+            predicted_cycles: prediction.total_cycles,
+            predicted_branch_mpki: prediction.branch_mpki,
+            predicted_l2_mpki: prediction.l2_mpki,
+            analysis_from_store: self.analysis_from_store,
+            checkpoints_from_store: self.checkpoints_from_store,
+        }
+    }
+}
+
+/// [`run_pipeline`] condensed to its [`JobSummary`] — what the farm
+/// stores and serves.
 ///
 /// # Errors
-/// Any stage failure, or [`LoopPointError::Cancelled`] when the config's
-/// token is tripped.
+/// As [`run_pipeline`].
 pub fn run_job(
     program: &Arc<Program>,
     nthreads: usize,
@@ -94,6 +124,38 @@ pub fn run_job(
     warmup_slices: usize,
     store: Option<&Store>,
 ) -> Result<JobSummary, LoopPointError> {
+    let run = run_pipeline(
+        program,
+        nthreads,
+        cfg,
+        simcfg,
+        sim_opts,
+        warmup_slices,
+        store,
+    )?;
+    Ok(run.summary())
+}
+
+/// Runs the full sampled pipeline for one program: analysis (cached when
+/// `store` is given), single-pass checkpoint generation (ditto), and
+/// region simulation honoring `cfg.cancel`. The observer's phase label
+/// moves to the `simulate-regions` stage once the analysis is in hand.
+///
+/// `warmup_slices` is the checkpoint warmup window (the paper's default
+/// deployment uses 2).
+///
+/// # Errors
+/// Any stage failure, or [`LoopPointError::Cancelled`] when the config's
+/// token is tripped.
+pub fn run_pipeline(
+    program: &Arc<Program>,
+    nthreads: usize,
+    cfg: &LoopPointConfig,
+    simcfg: &SimConfig,
+    sim_opts: &SimOptions,
+    warmup_slices: usize,
+    store: Option<&Store>,
+) -> Result<JobOutcome, LoopPointError> {
     // Attach the caller's trace context (if any) for the whole run, so the
     // job.run span and everything under it carry the caller's trace id.
     let _trace_guard = cfg.trace.as_ref().map(|t| t.attach());
@@ -106,6 +168,7 @@ pub fn run_job(
     };
     cfg.cancel.check()?;
 
+    cfg.obs.set_stage("simulate-regions");
     let (prepared, checkpoints_from_store) = match store {
         Some(store) => prepare_region_checkpoints_cached(
             &analysis,
@@ -124,17 +187,12 @@ pub fn run_job(
 
     let results =
         simulate_prepared_with_cancel(&prepared, program, nthreads, simcfg, sim_opts, &cfg.cancel)?;
-    let prediction = extrapolate(&results);
 
     span.arg("regions", results.len());
     span.arg("analysis_from_store", u64::from(analysis_from_store));
-    Ok(JobSummary {
-        slices: analysis.profile.slices.len(),
-        clusters: analysis.clustering.k,
-        regions: results.len(),
-        predicted_cycles: prediction.total_cycles,
-        predicted_branch_mpki: prediction.branch_mpki,
-        predicted_l2_mpki: prediction.l2_mpki,
+    Ok(JobOutcome {
+        analysis,
+        results,
         analysis_from_store,
         checkpoints_from_store,
     })
@@ -165,6 +223,10 @@ mod tests {
         assert!(summary.regions > 0);
         assert!(summary.predicted_cycles > 0.0);
         assert!(!summary.analysis_from_store);
+        let opts = SimOptions::default();
+        let outcome = run_pipeline(&program, nthreads, &cfg, &simcfg, &opts, 2, None).unwrap();
+        assert_eq!(outcome.summary(), summary);
+        assert_eq!(outcome.results.len(), outcome.analysis.looppoints.len());
         // JSON embeds every field.
         let v = summary.to_value();
         for key in [
@@ -215,11 +277,18 @@ mod tests {
         ));
         let store = Store::open(&dir, lp_obs::Observer::disabled()).unwrap();
         let opts = SimOptions::default();
-        let cold = run_job(&program, nthreads, &cfg, &simcfg, &opts, 2, Some(&store)).unwrap();
-        assert!(!cold.analysis_from_store);
+        let storeless = run_job(&program, nthreads, &cfg, &simcfg, &opts, 2, None).unwrap();
+        let cold = run_pipeline(&program, nthreads, &cfg, &simcfg, &opts, 2, Some(&store))
+            .unwrap()
+            .summary();
+        assert_eq!(cold, storeless, "a cold store only adds writes");
         let warm = run_job(&program, nthreads, &cfg, &simcfg, &opts, 2, Some(&store)).unwrap();
         assert!(warm.analysis_from_store && warm.checkpoints_from_store);
         assert_eq!(cold.predicted_cycles, warm.predicted_cycles);
+        // Warm, through the un-condensed entry point: the same summary.
+        let outcome =
+            run_pipeline(&program, nthreads, &cfg, &simcfg, &opts, 2, Some(&store)).unwrap();
+        assert_eq!(outcome.summary(), warm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

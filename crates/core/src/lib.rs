@@ -114,7 +114,7 @@ pub use coverage::Coverage;
 pub use diagnose::diagnose;
 pub use error::LoopPointError;
 pub use extrapolate::{error_pct, extrapolate, Prediction};
-pub use job::{run_job, JobSummary};
+pub use job::{run_job, run_pipeline, JobOutcome, JobSummary};
 pub use live::{
     analyze_live, diagnose_live, run_live_job, LiveClusterSummary, LiveConfig, LiveOutcome,
     LiveRegionRecord, LiveRepStats, LiveSummary,

@@ -69,20 +69,20 @@ impl FarmClient {
         FarmClient { http }
     }
 
-    /// The node address this client talks to.
-    pub fn addr(&self) -> &str {
-        self.http.addr()
-    }
-
     /// Sets the per-request timeout.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.http.set_timeout(timeout);
     }
 
-    /// The underlying transport (keep-alive reuse counters, extra
-    /// headers).
+    /// The underlying transport, for requests this type does not model
+    /// (inter-node artifact exchange, raw-wire benchmarks).
     pub fn http(&mut self) -> &mut HttpClient {
         &mut self.http
+    }
+
+    /// Requests served over an already-open keep-alive connection.
+    pub fn reuses(&self) -> u64 {
+        self.http.reuses()
     }
 
     /// Verifies the server's advertised protocol version, if present.
@@ -102,8 +102,8 @@ impl FarmClient {
         Self::negotiated(resp)
     }
 
-    fn get_ok_json(&mut self, path: &str) -> Result<Value, ProtoError> {
-        let resp = self.get(path)?;
+    /// The JSON body of a 200 response; any other status is an error.
+    fn ok_json(resp: ClientResponse) -> Result<Value, ProtoError> {
         if resp.status != 200 {
             return Err(ProtoError::Http {
                 status: resp.status,
@@ -111,6 +111,10 @@ impl FarmClient {
             });
         }
         lp_obs::json::parse(&resp.text()).map_err(|e| ProtoError::Parse(e.to_string()))
+    }
+
+    fn get_ok_json(&mut self, path: &str) -> Result<Value, ProtoError> {
+        Self::ok_json(self.get(path)?)
     }
 
     /// Submits a batch of specs (one NDJSON line each), optionally
@@ -235,21 +239,6 @@ impl FarmClient {
         self.get_ok_json("/queue")
     }
 
-    /// Fetches the Prometheus text document.
-    ///
-    /// # Errors
-    /// Transport or a non-200 status.
-    pub fn metrics(&mut self) -> Result<String, ProtoError> {
-        let resp = self.get("/metrics")?;
-        if resp.status != 200 {
-            return Err(ProtoError::Http {
-                status: resp.status,
-                body: resp.text(),
-            });
-        }
-        Ok(resp.text())
-    }
-
     /// Fetches the node's full metrics snapshot as JSON
     /// (`GET /metrics.json`) — the federation wire format.
     ///
@@ -307,26 +296,15 @@ impl FarmClient {
         lp_obs::json::parse(&resp.text()).map_err(|e| ProtoError::Parse(e.to_string()))
     }
 
-    /// Requests shutdown (`mode` = `drain` | `now`).
+    /// Requests shutdown (`mode` = `drain` | `now`); returns the server's
+    /// `{shutting_down, mode}` acknowledgement.
     ///
     /// # Errors
-    /// Transport, version mismatch, or a non-200 status.
-    pub fn shutdown(&mut self, mode: &str) -> Result<(), ProtoError> {
-        let resp = self.http.send(
-            "POST",
-            &format!("/shutdown?mode={mode}"),
-            &[],
-            &[],
-            None,
-            true,
-        )?;
-        let resp = Self::negotiated(resp)?;
-        if resp.status != 200 {
-            return Err(ProtoError::Http {
-                status: resp.status,
-                body: resp.text(),
-            });
-        }
-        Ok(())
+    /// Transport, version mismatch, a non-200 status, or an unparseable
+    /// body.
+    pub fn shutdown(&mut self, mode: &str) -> Result<Value, ProtoError> {
+        let path = format!("/shutdown?mode={mode}");
+        let resp = self.http.send("POST", &path, &[], &[], None, true)?;
+        Self::ok_json(Self::negotiated(resp)?)
     }
 }

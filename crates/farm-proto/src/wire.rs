@@ -130,6 +130,8 @@ pub struct JobStatus {
     pub error: Option<String>,
     /// The job's distributed-trace id.
     pub trace_id: Option<String>,
+    /// The record exactly as the server sent it (what `status` prints).
+    pub record: Value,
 }
 
 impl JobStatus {
@@ -171,6 +173,7 @@ impl JobStatus {
                 .get("trace_id")
                 .and_then(Value::as_str)
                 .map(str::to_string),
+            record: v.clone(),
         })
     }
 }

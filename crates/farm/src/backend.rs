@@ -12,7 +12,7 @@ use lp_isa::Program;
 use lp_obs::Observer;
 use lp_store::{ArtifactKind, Store, StoreKey, StoreKeyBuilder};
 use lp_uarch::SimConfig;
-use lp_workloads::{matrix_demo, InputClass, WorkloadSpec};
+use lp_workloads::InputClass;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -95,34 +95,11 @@ impl PipelineBackend {
         }
     }
 
-    fn resolve(name: &str) -> Option<WorkloadSpec> {
-        match name {
-            "demo-matrix-1" => Some(matrix_demo(1)),
-            "demo-matrix-2" => Some(matrix_demo(2)),
-            "demo-matrix-3" => Some(matrix_demo(3)),
-            other => lp_workloads::find(other),
-        }
-    }
-
     /// Everything both `job_key` and `execute` need, derived once.
     fn setup(
         &self,
         spec: &JobSpec,
     ) -> Result<(Arc<Program>, usize, LoopPointConfig, SimConfig), String> {
-        let wspec = Self::resolve(&spec.program)
-            .ok_or_else(|| format!("unknown program '{}'", spec.program))?;
-        let input = match spec.input.as_str() {
-            "test" => InputClass::Test,
-            "train" => InputClass::Train,
-            "ref" => InputClass::Ref,
-            "C" | "c" => InputClass::NpbC,
-            other => return Err(format!("unknown input class '{other}'")),
-        };
-        let policy = match spec.wait_policy.as_str() {
-            "passive" => lp_omp::WaitPolicy::Passive,
-            "active" => lp_omp::WaitPolicy::Active,
-            other => return Err(format!("unknown wait policy '{other}'")),
-        };
         let memo_key = (
             spec.program.clone(),
             spec.input.clone(),
@@ -134,6 +111,10 @@ impl PipelineBackend {
             match memo.get(&memo_key) {
                 Some((p, n)) => (Arc::clone(p), *n),
                 None => {
+                    let wspec = lp_workloads::find(&spec.program)
+                        .ok_or_else(|| format!("unknown program '{}'", spec.program))?;
+                    let input: InputClass = spec.input.parse()?;
+                    let policy: lp_omp::WaitPolicy = spec.wait_policy.parse()?;
                     let nthreads = wspec.effective_threads(spec.ncores);
                     let program = lp_workloads::build(&wspec, input, spec.ncores, policy);
                     memo.insert(memo_key, (Arc::clone(&program), nthreads));

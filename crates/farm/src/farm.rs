@@ -187,6 +187,16 @@ pub enum ShutdownMode {
     Now,
 }
 
+/// The wire spelling: `drain` | `now`.
+impl std::fmt::Display for ShutdownMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ShutdownMode::Drain => "drain",
+            ShutdownMode::Now => "now",
+        })
+    }
+}
+
 /// Aggregate queue statistics (`GET /queue`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueSnapshot {

@@ -259,13 +259,7 @@ fn route(req: &Request, farm: &Farm, shared: &ServerShared, ext: &ServerExtensio
             let mut guard = shared.shutdown.lock().expect("farm server lock");
             *guard = Some(mode);
             shared.shutdown_cv.notify_all();
-            Response::json_ok(format!(
-                "{{\"shutting_down\":true,\"mode\":\"{}\"}}",
-                match mode {
-                    ShutdownMode::Drain => "drain",
-                    ShutdownMode::Now => "now",
-                }
-            ))
+            Response::json_ok(format!("{{\"shutting_down\":true,\"mode\":\"{mode}\"}}"))
         }
         ("GET", path) => {
             if let Some(id) = parse_trace_path(path) {

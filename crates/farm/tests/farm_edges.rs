@@ -209,7 +209,7 @@ fn queue_full_rejection_carries_retry_after() {
         farm.job(a.id()).map(|r| r.state) == Some(JobState::Running)
     }));
     farm.submit(spec("w2")).unwrap();
-    farm.submit(spec("w3")).unwrap();
+    let queued = farm.submit(spec("w3")).unwrap().id();
 
     // Library-level rejection carries the hint...
     let err = farm.submit(spec("w4")).unwrap_err();
@@ -242,8 +242,25 @@ fn queue_full_rejection_carries_retry_after() {
     let dup = farm.submit(spec("w2")).unwrap();
     assert!(matches!(dup, Submitted::Deduped { .. }), "{dup:?}");
 
+    // A queued job is cancellable over the wire (`POST /jobs/{id}/cancel`)
+    // and reads back as cancelled; an unknown id cancels nothing.
+    let mut client = lp_farm_proto::FarmClient::connect(addr.as_str());
+    let ack = client.cancel(queued).unwrap();
+    assert_eq!(ack.get("cancelled"), Some(&Value::Bool(true)), "{ack}");
+    let record = client.job(queued).unwrap();
+    assert_eq!(record.state, "cancelled");
+    assert!(record.is_terminal() && record.result.is_none());
+    let ack = client.cancel(9_999).unwrap();
+    assert_eq!(ack.get("cancelled"), Some(&Value::Bool(false)), "{ack}");
+    assert_eq!(ack.get("state").and_then(Value::as_str), Some("unknown"));
+
     backend.release();
     assert!(farm.wait_idle(Duration::from_secs(10)));
+    assert_eq!(
+        backend.computes.load(Ordering::SeqCst),
+        2,
+        "the cancelled job never ran"
+    );
     farm.shutdown(ShutdownMode::Drain);
     farm.join();
     server.stop();

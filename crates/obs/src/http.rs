@@ -415,11 +415,6 @@ impl HttpClient {
         }
     }
 
-    /// The server address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// How many requests were served on an already-open connection
     /// (the first request after each connect does not count).
     pub fn reuses(&self) -> u64 {

@@ -310,6 +310,21 @@ impl Observer {
         }
     }
 
+    /// Replaces the stage part of a `stage:scope` phase label, keeping the
+    /// scope its driver set — how a pipeline stage reports progress
+    /// without knowing which workload it runs for. No-op when disabled.
+    pub fn set_stage(&self, stage: &str) {
+        if let Some(inner) = &self.inner {
+            let mut phase = inner.phase.lock().expect("phase poisoned");
+            *phase = match phase.split_once(':') {
+                Some((_, scope)) => format!("{stage}:{scope}"),
+                None => stage.to_string(),
+            };
+            drop(phase);
+            self.heartbeat();
+        }
+    }
+
     /// The current coarse pipeline phase (`""` when disabled).
     pub fn phase(&self) -> String {
         match &self.inner {

@@ -169,7 +169,7 @@ impl HistogramSnapshot {
     /// bucket width otherwise. Returns `0.0` on an empty histogram.
     ///
     /// This is the one shared quantile implementation — the flat-JSON
-    /// metrics export and `BENCH_farm.json`'s queue-wait percentiles both
+    /// metrics export and the `/metrics/history` quantile columns both
     /// come from here.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {

@@ -236,7 +236,8 @@ mod tests {
     fn serves_metrics_healthz_and_report() {
         let obs = Observer::enabled();
         obs.counter("store.hit").add(7);
-        obs.set_phase("testing");
+        obs.set_phase("warming:demo");
+        obs.set_stage("testing");
         let server = TelemetryServer::start("127.0.0.1:0", obs.clone()).unwrap();
         let addr = server.local_addr();
 
@@ -252,7 +253,8 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let doc = json::parse(&body).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
-        assert_eq!(doc.get("phase").unwrap().as_str(), Some("testing"));
+        // set_stage swapped the stage and kept the driver's scope.
+        assert_eq!(doc.get("phase").unwrap().as_str(), Some("testing:demo"));
         assert!(doc.get("heartbeat_age_us").unwrap().as_u64().is_some());
 
         let (head, _) = http_get(addr, "/report");

@@ -25,6 +25,19 @@ impl WaitPolicy {
     }
 }
 
+/// The inverse of [`WaitPolicy::name`].
+impl std::str::FromStr for WaitPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "active" => Ok(WaitPolicy::Active),
+            "passive" => Ok(WaitPolicy::Passive),
+            other => Err(format!("unknown wait policy '{other}'")),
+        }
+    }
+}
+
 impl std::fmt::Display for WaitPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -323,6 +336,17 @@ mod tests {
         m.run_to_completion(10_000_000).unwrap();
         assert!(m.is_finished(), "all threads halted");
         m
+    }
+
+    #[test]
+    fn wait_policy_names_round_trip() {
+        for policy in [WaitPolicy::Active, WaitPolicy::Passive] {
+            assert_eq!(policy.name().parse(), Ok(policy));
+        }
+        assert_eq!(
+            "spin".parse::<WaitPolicy>(),
+            Err("unknown wait policy 'spin'".to_string())
+        );
     }
 
     #[test]

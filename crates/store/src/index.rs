@@ -122,7 +122,7 @@ impl Index {
 
     /// Atomically persists the index into `dir` (temp + fsync + rename).
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        crate::store::write_atomic(dir, INDEX_FILE, self.render().as_bytes())
+        lp_obs::write_atomic(&dir.join(INDEX_FILE), self.render().as_bytes())
     }
 
     /// Records (or refreshes) `name` after a successful save.

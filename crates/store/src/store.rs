@@ -17,8 +17,8 @@
 //! The handle uses interior mutability (one mutex around the index and
 //! session stats) so pipeline code can share `&Store` freely.
 
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -163,6 +163,17 @@ pub struct StoreStats {
     pub bytes_stored: u64,
 }
 
+impl StoreStats {
+    /// Raw over stored bytes of the live artifacts (1 for an empty store).
+    pub fn compression_ratio(&self) -> f64 {
+        if self.bytes_stored > 0 {
+            self.bytes_raw as f64 / self.bytes_stored as f64
+        } else {
+            1.0
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Counters {
     hits: AtomicU64,
@@ -179,35 +190,6 @@ pub struct Store {
     obs: Observer,
     index: Mutex<Index>,
     counters: Counters,
-}
-
-/// Writes `bytes` to `dir/name` atomically: unique temp file in the same
-/// directory, fsync, rename over the target, fsync the directory.
-pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let tmp = dir.join(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = (|| {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, dir.join(name))?;
-        // Durability of the rename itself: fsync the directory. Some
-        // platforms refuse to open directories for writing; a failure here
-        // only weakens crash-durability, never correctness, so ignore it.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
 }
 
 impl Store {
@@ -341,7 +323,7 @@ impl Store {
         // The artifact itself needs no lock: content-addressed name +
         // atomic rename means concurrent writers of one key race to
         // install byte-identical files.
-        write_atomic(&self.dir, &name, &sealed)?;
+        lp_obs::write_atomic(&self.dir.join(&name), &sealed)?;
         self.with_shared_index(|index| {
             index.upsert(&name, kind, sealed.len() as u64, payload.len() as u64);
             if let Some(budget) = self.config.max_bytes {

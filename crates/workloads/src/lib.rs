@@ -46,10 +46,12 @@ pub use npb::npb_workloads;
 pub use recipe::{build, InputClass, Suite, SyncPrimitives, WorkloadSpec};
 pub use spec::spec_workloads;
 
-/// Convenience: look up a workload by name across all suites.
+/// The one name → workload resolver: looks `name` up across all suites
+/// (`demo-matrix-1..3`, the SPEC-like apps, the NPB-like kernels).
 pub fn find(name: &str) -> Option<WorkloadSpec> {
-    spec_workloads()
-        .into_iter()
+    (1..=3)
+        .map(matrix_demo)
+        .chain(spec_workloads())
         .chain(npb_workloads())
         .find(|w| w.name == name)
 }

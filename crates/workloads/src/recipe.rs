@@ -67,6 +67,21 @@ impl InputClass {
     }
 }
 
+/// The inverse of [`InputClass::name`] (`c` is accepted for `C`).
+impl std::str::FromStr for InputClass {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "test" => Ok(InputClass::Test),
+            "train" => Ok(InputClass::Train),
+            "ref" => Ok(InputClass::Ref),
+            "C" | "c" => Ok(InputClass::NpbC),
+            other => Err(format!("unknown input class '{other}'")),
+        }
+    }
+}
+
 /// A phase inside a workload round: one parallel region running a kernel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
@@ -450,5 +465,18 @@ mod tests {
         assert!(InputClass::Ref.round_multiplier() > 10 * InputClass::Test.round_multiplier());
         assert_eq!(InputClass::Train.name(), "train");
         assert_eq!(InputClass::NpbC.name(), "C");
+    }
+
+    #[test]
+    fn input_class_names_round_trip() {
+        use InputClass::*;
+        for class in [Test, Train, Ref, NpbC] {
+            assert_eq!(class.name().parse(), Ok(class));
+        }
+        assert_eq!("c".parse(), Ok(NpbC));
+        assert_eq!(
+            "huge".parse::<InputClass>(),
+            Err("unknown input class 'huge'".to_string())
+        );
     }
 }

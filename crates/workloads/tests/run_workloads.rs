@@ -93,6 +93,11 @@ fn demo_runs_quickly() {
 fn find_locates_workloads() {
     assert!(lp_workloads::find("657.xz_s.1").is_some());
     assert!(lp_workloads::find("npb-cg").is_some());
+    for v in 1..=3 {
+        let demo = lp_workloads::find(&format!("demo-matrix-{v}")).expect("demo resolves");
+        assert_eq!(demo.name, matrix_demo(v).name);
+    }
+    assert!(lp_workloads::find("demo-matrix-4").is_none());
     assert!(lp_workloads::find("nope").is_none());
 }
 

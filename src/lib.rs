@@ -19,12 +19,15 @@
 //! | [`workloads`] | `lp-workloads` | SPEC-like / NPB-like synthetic suites |
 //! | [`obs`] | `lp-obs` | span tracing, metrics registry, Chrome-trace export, live telemetry endpoint |
 //! | [`diag`] | `lp-diag` | accuracy attribution, error decomposition, self-profiles |
+//! | [`cli`] | — | the `run-looppoint` front door: flag table, command registry, renderers |
 //!
 //! See the `examples/` directory for runnable end-to-end demonstrations
 //! (start with `cargo run --release --example quickstart`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli;
 
 pub use looppoint;
 pub use lp_bbv as bbv;
