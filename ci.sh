@@ -44,6 +44,16 @@ x = json.load(sys.stdin)['metrics']['pinball.replay_overhead_x']['value']
 assert 0 < x <= 2.0, f'pinball.replay_overhead_x {x:.2f} breaches the 2.0 floor'
 print(f'perf-smoke: constrained replay at {x:.2f}x the bare VM')
 " || { echo "perf-smoke: replay floor failed" >&2; exit 1; }
+# Floor, off the traced fulldetail-train result line: fast-forward with
+# cache and predictor warming stays within 2.3x of the bare VM (2.5-2.6x
+# at smoke scale before the retire-path budget, ~2.0x since).
+grep '^{' "$PWD/target/ci-perf-fulldetail-train-1.log" | tail -n1 | python3 -c "
+import json, sys
+m = json.load(sys.stdin)['metrics']
+vm, ff = m['isa.vm_mips']['value'], m['sim.ff_mips']['value']
+assert vm > 0 and ff > 0 and vm / ff <= 2.3, f'isa.vm_mips / sim.ff_mips = {vm:.1f} / {ff:.1f} breaches the 2.3 floor'
+print(f'perf-smoke: fast-forward with warming at {vm / ff:.2f}x the bare VM')
+" || { echo "perf-smoke: fast-forward floor failed" >&2; exit 1; }
 
 echo "== store-smoke (artifact store) =="
 # Cold run populates a fresh store; warm run must hit and print the

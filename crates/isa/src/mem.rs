@@ -2,6 +2,7 @@
 
 use crate::addr::Addr;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_WORDS: usize = 512; // 4 KiB pages of 8-byte words
 const PAGE_SHIFT: u64 = 12;
@@ -14,7 +15,33 @@ const OFF_MASK: u64 = (1 << PAGE_SHIFT) - 1;
 /// pinball snapshots cheap.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Hashes a page index with one multiply: every simulated load and store
+/// looks its page up, and SipHash in that look-up was ~9 % of the bare VM.
+/// Page indices come from programs this workspace builds, not from an
+/// adversary, and nothing observes the map's order (serialisation sorts
+/// the pages).
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the page map's keys are u64 and hash through write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        // Fibonacci hashing; the fold brings the well-mixed high half down
+        // to the low bits the table indexes by, so page indices that differ
+        // only in high bits (per-thread stripes) do not share a bucket.
+        let h = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Memory {

@@ -1,13 +1,12 @@
 //! Per-core timing models: an out-of-order scoreboard and an in-order core.
 
-use lp_isa::{Reg, RegFile};
+use lp_isa::Reg;
 use lp_uarch::CoreModel;
-use std::collections::VecDeque;
 
 /// Timing state of one core.
 ///
 /// The out-of-order model is a scoreboard: register-ready times provide data
-/// dependences, a bounded FIFO of in-order retire times models ROB
+/// dependences, a ring of the last `rob` in-order retire times models ROB
 /// occupancy, and a dispatch-width counter models the front end. The
 /// in-order model executes strictly serially. Both honour front-end stalls
 /// (instruction-cache misses, mispredict redirects) through
@@ -23,21 +22,31 @@ pub struct CoreTiming {
     fetch_ready: u64,
     /// Cycle each architectural register's latest value is available.
     reg_ready: [u64; Reg::COUNT],
-    /// In-order retire times of in-flight instructions (ROB model).
-    rob: VecDeque<u64>,
+    /// Retire times of the last `rob` instructions (ROB model), oldest at
+    /// `rob_head`; empty for the in-order core. Retirement is in order, so
+    /// the times are monotone and the oldest one is when the instruction
+    /// `rob` places back frees its entry — all occupancy ever asks.
+    rob_ring: Vec<u64>,
+    rob_head: usize,
     last_retire: u64,
 }
 
 impl CoreTiming {
     /// Creates an idle core at cycle zero.
     pub fn new(model: CoreModel) -> Self {
+        let rob = match model {
+            // A zero-entry ROB stalls exactly like a one-entry one.
+            CoreModel::OutOfOrder { rob, .. } => rob.max(1) as usize,
+            CoreModel::InOrder => 0,
+        };
         CoreTiming {
             model,
             now: 0,
             dispatched_in_cycle: 0,
             fetch_ready: 0,
             reg_ready: [0; Reg::COUNT],
-            rob: VecDeque::new(),
+            rob_ring: vec![0; rob],
+            rob_head: 0,
             last_retire: 0,
         }
     }
@@ -68,6 +77,7 @@ impl CoreTiming {
     ///
     /// `srcs`/`dst` give register dependences; `latency` is the full
     /// execution latency including any memory-hierarchy time.
+    #[inline]
     pub fn dispatch(
         &mut self,
         srcs: [Option<Reg>; 3],
@@ -75,29 +85,16 @@ impl CoreTiming {
         latency: u32,
     ) -> (u64, u64) {
         match self.model {
-            CoreModel::OutOfOrder { rob, width } => {
+            CoreModel::OutOfOrder { width, .. } => {
                 // Front-end: width per cycle, not before fetch_ready.
                 let mut d = self.now.max(self.fetch_ready);
                 if d == self.now && self.dispatched_in_cycle >= width {
                     d += 1;
                 }
-                // ROB occupancy: retire completed heads; if still full,
-                // dispatch waits for the head to retire.
-                while let Some(&head) = self.rob.front() {
-                    if head <= d {
-                        self.rob.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                if self.rob.len() >= rob as usize {
-                    if let Some(head) = self.rob.pop_front() {
-                        d = d.max(head);
-                    }
-                    while self.rob.front().is_some_and(|&h| h <= d) {
-                        self.rob.pop_front();
-                    }
-                }
+                // ROB occupancy: the ROB is full at `d` iff the instruction
+                // `rob` places back has not retired by then, and dispatch
+                // then waits for exactly that retirement.
+                d = d.max(self.rob_ring[self.rob_head]);
                 if d != self.now {
                     self.now = d;
                     self.dispatched_in_cycle = 1;
@@ -117,7 +114,11 @@ impl CoreTiming {
                 // than its predecessors.
                 let retire = complete.max(self.last_retire);
                 self.last_retire = retire;
-                self.rob.push_back(retire);
+                self.rob_ring[self.rob_head] = retire;
+                self.rob_head += 1;
+                if self.rob_head == self.rob_ring.len() {
+                    self.rob_head = 0;
+                }
                 (issue, complete)
             }
             CoreModel::InOrder => {
@@ -131,25 +132,6 @@ impl CoreTiming {
                 (issue, complete)
             }
         }
-    }
-
-    /// Resets the clock domain to zero, keeping no in-flight state.
-    /// Dependences and learned state live elsewhere (caches, predictors);
-    /// used when starting a detailed region after fast-forward.
-    pub fn reset_clock(&mut self) {
-        self.now = 0;
-        self.dispatched_in_cycle = 0;
-        self.fetch_ready = 0;
-        self.reg_ready = [0; Reg::COUNT];
-        self.rob.clear();
-        self.last_retire = 0;
-    }
-
-    /// Validates dependences against an architectural register file; debug
-    /// aid for tests (all ready times must be sane, i.e. not in the distant
-    /// future relative to `now` plus maximum latency).
-    pub fn debug_max_reg_ready(&self, _regs: &RegFile) -> u64 {
-        self.reg_ready.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -242,15 +224,5 @@ mod tests {
         assert_eq!(c.now(), 100);
         let (issue, _) = c.dispatch([None; 3], None, 1);
         assert!(issue >= 100);
-    }
-
-    #[test]
-    fn reset_clock_zeroes_state() {
-        let mut c = ooo();
-        c.dispatch([None; 3], Some(Reg::R1), 50);
-        c.reset_clock();
-        assert_eq!(c.now(), 0);
-        let (issue, _) = c.dispatch([Some(Reg::R1), None, None], None, 1);
-        assert_eq!(issue, 0, "old dependences cleared");
     }
 }

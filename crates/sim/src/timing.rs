@@ -10,7 +10,7 @@
 use crate::core_model::CoreTiming;
 use crate::simulator::Mode;
 use crate::stats::{add_branch, add_mem, SimStats};
-use lp_isa::{CtrlKind, Inst, InstClass, Retired};
+use lp_isa::{CtrlEvent, CtrlKind, Inst, InstClass, Retired};
 use lp_uarch::{BranchPredictor, CacheLevel, MemoryHierarchy, SimConfig};
 
 /// Timing state for one multicore machine.
@@ -104,6 +104,7 @@ impl TimingModel {
     /// Charges one retired instruction in the given mode and returns its
     /// completion cycle (detailed mode) or the advanced local clock
     /// (fast-forward).
+    #[inline]
     pub fn account(&mut self, r: &Retired, mode: Mode) -> u64 {
         match mode {
             Mode::Detailed => self.account_detailed(r),
@@ -111,6 +112,7 @@ impl TimingModel {
         }
     }
 
+    #[inline]
     fn account_fast_forward(&mut self, r: &Retired) -> u64 {
         let tid = r.tid;
         if !self.warm_during_ff {
@@ -129,12 +131,15 @@ impl TimingModel {
             self.hierarchy
                 .access_data(tid, acc.addr, acc.write, acc.shared);
         }
-        self.warm_branch(tid, r);
+        if let Some(ctrl) = r.ctrl {
+            self.warm_branch(tid, r, ctrl);
+        }
         let next = self.cores[tid].now() + 1;
         self.cores[tid].advance_to(next);
         next
     }
 
+    #[inline]
     fn account_detailed(&mut self, r: &Retired) -> u64 {
         let tid = r.tid;
         // Front end: same-line fetches are pipelined; line transitions
@@ -164,17 +169,15 @@ impl TimingModel {
 
         let (_, complete) = self.cores[tid].dispatch(r.inst.srcs(), r.inst.dst(), latency);
 
-        if !self.warm_branch(tid, r) {
+        if r.ctrl.is_some_and(|ctrl| !self.warm_branch(tid, r, ctrl)) {
             self.cores[tid].stall_fetch_until(complete + u64::from(self.cfg.mispredict_penalty));
         }
         complete
     }
 
-    /// Updates branch-predictor state for `r`; returns whether the control
-    /// transfer was predicted correctly (`true` for non-control
-    /// instructions).
-    fn warm_branch(&mut self, tid: usize, r: &Retired) -> bool {
-        let Some(ctrl) = r.ctrl else { return true };
+    /// Updates branch-predictor state for `r`'s control transfer `ctrl`;
+    /// returns whether it was predicted correctly.
+    fn warm_branch(&mut self, tid: usize, r: &Retired, ctrl: CtrlEvent) -> bool {
         match ctrl.kind {
             CtrlKind::CondTaken => self.bps[tid].predict_cond(r.pc, true),
             CtrlKind::CondNotTaken => self.bps[tid].predict_cond(r.pc, false),

@@ -17,10 +17,14 @@ impl CacheConfig {
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero sizes or non-power-of-two
-    /// set count).
+    /// Panics if the geometry is degenerate (zero sizes, or a line size or
+    /// set count that is not a power of two).
     pub fn num_sets(&self) -> u64 {
         assert!(self.size_bytes > 0 && self.line_bytes > 0 && self.assoc > 0);
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let sets = self.size_bytes / (self.line_bytes * u64::from(self.assoc));
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         sets
@@ -37,11 +41,17 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    lru: u64,
+/// What [`SetAssocCache::fill`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fill {
+    /// The line was already present; only its LRU position moved.
+    Refreshed,
+    /// The line was inserted, displacing the valid line based at `evicted`
+    /// if the set had no invalid way left.
+    Inserted {
+        /// Base address of the displaced line.
+        evicted: Option<u64>,
+    },
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -49,29 +59,43 @@ struct Line {
 /// Tracks only tags (contents live in the functional machine's memory).
 /// Addresses passed in are raw byte addresses; the cache derives line/set
 /// indices from its configured geometry.
+///
+/// Stored as a structure of arrays per set: a hit scans the set's tags —
+/// one host cache line for an 8-way set — and writes one LRU stamp beside
+/// them, a way costs 16 bytes, and the whole cache is one zeroed
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Line>,
+    /// Per set, `assoc` tags stored as `tag + 1` (0 marks an invalid way),
+    /// then the `assoc` stamps of the ways' last touches.
+    sets: Vec<u64>,
     set_mask: u64,
+    set_bits: u32,
     line_shift: u32,
     stamp: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl SetAssocCache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    /// Panics on a degenerate geometry (see [`CacheConfig::num_sets`]).
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
+        let set_mask = num_sets - 1;
+        let (set_bits, line_shift) = (set_mask.count_ones(), cfg.line_bytes.trailing_zeros());
+        assert!(
+            set_bits + line_shift > 0,
+            "a one-set cache of one-byte lines leaves no tag value for invalid"
+        );
         SetAssocCache {
             cfg,
-            sets: vec![Line::default(); (num_sets * u64::from(cfg.assoc)) as usize],
-            set_mask: num_sets - 1,
-            line_shift: cfg.line_bytes.trailing_zeros(),
+            sets: vec![0; (num_sets * 2 * u64::from(cfg.assoc)) as usize],
+            set_mask,
+            set_bits,
+            line_shift,
             stamp: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -80,113 +104,91 @@ impl SetAssocCache {
         self.cfg
     }
 
-    fn set_range(&self, addr: u64) -> (usize, u64) {
+    /// Index in `sets` of `addr`'s set, and the stored (`tag + 1`) form of
+    /// its tag.
+    #[inline]
+    fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        (set * self.cfg.assoc as usize, tag)
+        (
+            set * 2 * self.cfg.assoc as usize,
+            (line >> self.set_bits) + 1,
+        )
+    }
+
+    /// The tags and the stamps of `addr`'s set, and the stored form of its
+    /// tag.
+    #[inline]
+    fn locate(&mut self, addr: u64) -> (&mut [u64], &mut [u64], u64) {
+        let assoc = self.cfg.assoc as usize;
+        let (base, tag) = self.index(addr);
+        let (tags, stamps) = self.sets[base..base + 2 * assoc].split_at_mut(assoc);
+        (tags, stamps, tag)
     }
 
     /// Looks up `addr`, updating LRU state. Returns whether it hit. On a
     /// miss the line is *not* inserted; call [`SetAssocCache::fill`].
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stamp += 1;
-        let (base, tag) = self.set_range(addr);
-        for way in 0..self.cfg.assoc as usize {
-            let line = &mut self.sets[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.stamp;
-                self.hits += 1;
-                return true;
+        let stamp = self.stamp;
+        let (tags, stamps, tag) = self.locate(addr);
+        match tags.iter().position(|&t| t == tag) {
+            Some(way) => {
+                stamps[way] = stamp;
+                true
             }
+            None => false,
         }
-        self.misses += 1;
-        false
     }
 
-    /// Inserts the line containing `addr`, evicting the LRU way. Returns
-    /// the evicted line's base address, if a valid line was displaced.
-    /// Filling an already-present line only refreshes its LRU position.
-    pub fn fill(&mut self, addr: u64) -> Option<u64> {
+    /// Inserts the line containing `addr` into the first invalid way of its
+    /// set, else over the LRU way. Filling an already-present line only
+    /// refreshes its LRU position.
+    #[inline]
+    pub fn fill(&mut self, addr: u64) -> Fill {
         self.stamp += 1;
-        let (base, tag) = self.set_range(addr);
-        let assoc = self.cfg.assoc as usize;
-        for way in 0..assoc {
-            let line = &mut self.sets[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.stamp;
-                return None;
-            }
+        let stamp = self.stamp;
+        let (set_bits, line_shift) = (self.set_bits, self.line_shift);
+        let set_index = (addr >> line_shift) & self.set_mask;
+        let (tags, stamps, tag) = self.locate(addr);
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            stamps[way] = stamp;
+            return Fill::Refreshed;
         }
-        // Prefer an invalid way; otherwise evict LRU.
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for way in 0..assoc {
-            let line = &self.sets[base + way];
-            if !line.valid {
-                victim = way;
-                break;
-            }
-            if line.lru < best {
-                best = line.lru;
-                victim = way;
-            }
-        }
-        let set_bits = self.set_mask.count_ones();
-        let set_index = (base / assoc) as u64;
-        let evicted = {
-            let line = &self.sets[base + victim];
-            if line.valid {
-                Some(((line.tag << set_bits) | set_index) << self.line_shift)
-            } else {
-                None
-            }
-        };
-        self.sets[base + victim] = Line {
-            tag,
-            valid: true,
-            lru: self.stamp,
-        };
-        evicted
+        let victim = tags.iter().position(|&t| t == 0).unwrap_or_else(|| {
+            // `min_by_key` keeps the first of equal stamps, as the scan it
+            // replaces did (stamps within a set are distinct anyway).
+            (0..stamps.len())
+                .min_by_key(|&way| stamps[way])
+                .expect("assoc > 0")
+        });
+        let evicted = (tags[victim] != 0)
+            .then(|| (((tags[victim] - 1) << set_bits) | set_index) << line_shift);
+        tags[victim] = tag;
+        stamps[victim] = stamp;
+        Fill::Inserted { evicted }
     }
 
     /// Invalidates the line containing `addr`; returns whether it was
     /// present.
+    #[inline]
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (base, tag) = self.set_range(addr);
-        for way in 0..self.cfg.assoc as usize {
-            let line = &mut self.sets[base + way];
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return true;
+        let (tags, _, tag) = self.locate(addr);
+        match tags.iter_mut().find(|t| **t == tag) {
+            Some(t) => {
+                *t = 0;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Whether the line containing `addr` is present (no LRU update).
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        let (base, tag) = self.set_range(addr);
-        (0..self.cfg.assoc as usize)
-            .any(|way| self.sets[base + way].valid && self.sets[base + way].tag == tag)
-    }
-
-    /// Total hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Invalidates everything and clears statistics.
-    pub fn reset(&mut self) {
-        self.sets.fill(Line::default());
-        self.stamp = 0;
-        self.hits = 0;
-        self.misses = 0;
+        let (base, tag) = self.index(addr);
+        self.sets[base..base + self.cfg.assoc as usize].contains(&tag)
     }
 }
 
@@ -212,8 +214,6 @@ mod tests {
         assert!(c.access(0x1000));
         assert!(c.access(0x103f), "same line");
         assert!(!c.access(0x1040), "next line");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]
@@ -221,11 +221,12 @@ mod tests {
         let mut c = small();
         // Three lines mapping to set 0 (set stride = 4 sets * 64B = 256B).
         let (a, b, d) = (0x0u64, 0x100u64, 0x200u64);
-        c.fill(a);
-        c.fill(b);
+        assert_eq!(c.fill(a), Fill::Inserted { evicted: None });
+        assert_eq!(c.fill(b), Fill::Inserted { evicted: None });
+        assert_eq!(c.fill(b), Fill::Refreshed);
         assert!(c.access(a)); // make b the LRU
         let evicted = c.fill(d);
-        assert_eq!(evicted, Some(b), "LRU way evicted");
+        assert_eq!(evicted, Fill::Inserted { evicted: Some(b) }, "LRU way");
         assert!(c.probe(a));
         assert!(!c.probe(b));
         assert!(c.probe(d));
@@ -248,18 +249,20 @@ mod tests {
         let set_stride = 4 * 64;
         c.fill(0x1234 + set_stride);
         let ev = c.fill(0x1234 + 2 * set_stride);
-        assert_eq!(ev, Some(0x1234 & !63));
+        let evicted = Some(0x1234 & !63);
+        assert_eq!(ev, Fill::Inserted { evicted });
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut c = small();
-        c.fill(0x80);
-        c.access(0x80);
-        c.reset();
-        assert!(!c.probe(0x80));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_size_is_rejected() {
+        // 96-byte lines would silently index as 32-byte ones.
+        SetAssocCache::new(CacheConfig {
+            size_bytes: 4 * 2 * 96,
+            assoc: 2,
+            line_bytes: 96,
+            latency: 3,
+        });
     }
 
     #[test]
@@ -287,19 +290,12 @@ mod tests {
         // second time round (classic LRU thrash).
         let mut c = small();
         let lines = 2 * (512 / 64);
-        for i in 0..lines {
-            let a = i * 64;
-            if !c.access(a) {
+        for pass in 0..2 {
+            for i in 0..lines {
+                let a = i * 64;
+                assert!(!c.access(a), "pass {pass}: line {i} misses");
                 c.fill(a);
             }
         }
-        let before = c.misses();
-        for i in 0..lines {
-            let a = i * 64;
-            if !c.access(a) {
-                c.fill(a);
-            }
-        }
-        assert_eq!(c.misses() - before, lines, "every access misses");
     }
 }

@@ -1,9 +1,15 @@
 //! The multicore memory hierarchy: private L1I/L1D/L2, shared L3,
 //! invalidation-based coherence, and per-core statistics.
 
-use crate::cache::SetAssocCache;
+use crate::cache::{Fill, SetAssocCache};
 use crate::config::SimConfig;
 use lp_isa::{Addr, Pc};
+
+/// log2 of the snoop filter's slots per core (a private constant, not a
+/// knob). A Table I core holds 4 608 private lines — some 70 pages' worth
+/// when they are dense — so of 4 096 slots all but a few per cent read 0;
+/// 128 KiB at 8 cores.
+const FILTER_SLOT_BITS: u32 = 12;
 
 /// The level that serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -58,6 +64,12 @@ impl CoreMemStats {
 /// private caches (an idealized snooping protocol — sufficient to create the
 /// inter-thread interference effects sampling must capture). Private-stripe
 /// addresses skip the broadcast entirely.
+///
+/// The broadcast is modelled, not executed: an exact snoop filter counts,
+/// per core, the L1-D + L2 lines it holds of each page-hash slot, and a
+/// store probes only the cores whose count for the written page's slot is
+/// non-zero. A zero count proves absence, so invalidations, statistics and
+/// cycles are those of the full broadcast.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     l1i: Vec<SetAssocCache>,
@@ -68,6 +80,13 @@ pub struct MemoryHierarchy {
     prefetch_next_line: bool,
     line_bytes: u64,
     stats: Vec<CoreMemStats>,
+    /// Snoop filter, `[slot][core]`: lines of the slot's pages in the
+    /// core's L1-D + L2 (L1-I is never probed by coherence, so not counted).
+    /// `u32` cannot overflow for any cache that fits in memory.
+    held: Vec<u32>,
+    /// Address bits below the filter's page number: a 4 KiB page, or the
+    /// largest private line if that is bigger, so no line spans two pages.
+    page_shift: u32,
 }
 
 impl MemoryHierarchy {
@@ -88,6 +107,8 @@ impl MemoryHierarchy {
             prefetch_next_line: cfg.prefetch_next_line,
             line_bytes: cfg.l1d.line_bytes,
             stats: vec![CoreMemStats::default(); cfg.ncores],
+            held: vec![0; cfg.ncores << FILTER_SLOT_BITS],
+            page_shift: 12.max(cfg.l1d.line_bytes.max(cfg.l2.line_bytes).trailing_zeros()),
         }
     }
 
@@ -106,11 +127,32 @@ impl MemoryHierarchy {
         self.stats.fill(CoreMemStats::default());
     }
 
+    /// Index into `held` of `core`'s count for the slot of `addr`'s page.
+    #[inline]
+    fn held_index(&self, core: usize, addr: u64) -> usize {
+        let hash = (addr >> self.page_shift).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hash >> (64 - FILTER_SLOT_BITS)) as usize * self.l1d.len() + core
+    }
+
+    /// Books the outcome of a fill of `addr` into `core`'s L1-D or L2.
+    #[inline]
+    fn track(&mut self, core: usize, addr: u64, fill: Fill) {
+        if let Fill::Inserted { evicted } = fill {
+            let slot = self.held_index(core, addr);
+            self.held[slot] += 1;
+            if let Some(old) = evicted {
+                let slot = self.held_index(core, old);
+                self.held[slot] -= 1;
+            }
+        }
+    }
+
     /// Performs a data access by `core`.
     ///
     /// `write` selects store semantics (write-allocate); `shared` marks the
     /// address as belonging to the shared region, enabling coherence
     /// invalidations on writes.
+    #[inline]
     pub fn access_data(
         &mut self,
         core: usize,
@@ -150,15 +192,19 @@ impl MemoryHierarchy {
                     CacheLevel::Memory
                 }
             };
-            self.l2[core].fill(a);
-            self.l1d[core].fill(a);
+            let fill = self.l2[core].fill(a);
+            self.track(core, a, fill);
+            let fill = self.l1d[core].fill(a);
+            self.track(core, a, fill);
             if self.prefetch_next_line {
                 // Next-line prefetch into L2 (no latency charged; the
-                // prefetcher runs off the critical path).
-                let next = a + self.line_bytes;
+                // prefetcher runs off the critical path). The address
+                // space wraps, as the machine's effective addresses do.
+                let next = a.wrapping_add(self.line_bytes);
                 if !self.l2[core].probe(next) {
                     self.l3.fill(next);
-                    self.l2[core].fill(next);
+                    let fill = self.l2[core].fill(next);
+                    self.track(core, next, fill);
                     self.stats[core].prefetches += 1;
                 }
             }
@@ -194,7 +240,8 @@ impl MemoryHierarchy {
                     latency += self.mem_latency;
                     self.l3.fill(a);
                 }
-                self.l2[core].fill(a);
+                let fill = self.l2[core].fill(a);
+                self.track(core, a, fill);
                 CacheLevel::L3
             };
             self.l1i[core].fill(a);
@@ -203,13 +250,19 @@ impl MemoryHierarchy {
     }
 
     fn invalidate_others(&mut self, writer: usize, addr: u64) {
+        let first = self.held_index(0, addr);
         for core in 0..self.l1d.len() {
             if core == writer {
                 continue;
             }
-            let hit1 = self.l1d[core].invalidate(addr);
-            let hit2 = self.l2[core].invalidate(addr);
-            if hit1 || hit2 {
+            if self.held[first + core] == 0 {
+                debug_assert!(!self.l1d[core].probe(addr) && !self.l2[core].probe(addr));
+                continue;
+            }
+            let hits = u32::from(self.l1d[core].invalidate(addr))
+                + u32::from(self.l2[core].invalidate(addr));
+            if hits > 0 {
+                self.held[first + core] -= hits;
                 self.stats[core].invalidations += 1;
             }
         }
@@ -347,6 +400,21 @@ mod tests {
         );
         assert!(pf.stats(0).prefetches > 100);
         assert_eq!(plain.stats(0).prefetches, 0);
+    }
+
+    #[test]
+    fn prefetch_past_the_top_of_the_address_space_wraps() {
+        let mut cfg = SimConfig::gainestown(1);
+        cfg.prefetch_next_line = true;
+        let mut h = MemoryHierarchy::new(&cfg);
+        // The top word (`u64::MAX & !7`), as `Machine::effective_addr` can
+        // produce it: its next line is line 0, in the test profile and in
+        // release alike.
+        let r = h.access_data(0, Addr(!7), false, false);
+        assert_eq!(r.level, CacheLevel::Memory);
+        assert_eq!(h.stats(0).prefetches, 1);
+        let wrapped = h.access_data(0, Addr(0), false, false);
+        assert_eq!(wrapped.level, CacheLevel::L2, "line 0 was prefetched");
     }
 
     #[test]

@@ -26,6 +26,6 @@ mod config;
 mod hierarchy;
 
 pub use branch::{BranchPredictor, BranchPredictorConfig, BranchStats};
-pub use cache::{CacheConfig, SetAssocCache};
+pub use cache::{CacheConfig, Fill, SetAssocCache};
 pub use config::{CoreModel, LatencyTable, SimConfig};
 pub use hierarchy::{AccessResult, CacheLevel, CoreMemStats, MemoryHierarchy};
