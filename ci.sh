@@ -63,9 +63,22 @@ STORE_DIR="$PWD/target/ci-store"
 STORE_LOG="$PWD/target/ci-store.log"
 rm -rf "$STORE_DIR"
 RUNNER=(cargo run --release --offline -q --bin run-looppoint --)
-"${RUNNER[@]}" -p demo-matrix-1 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" > "$STORE_LOG" 2>&1 \
+STORE_METRICS="$PWD/target/ci-store-metrics.json"
+"${RUNNER[@]}" -p demo-matrix-1 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" \
+  --metrics-out "$STORE_METRICS" > "$STORE_LOG" 2>&1 \
   || { cat "$STORE_LOG" >&2; echo "store-smoke: cold run failed" >&2; exit 1; }
 grep -Eq 'store: 0 hits, [0-9]+ misses' "$STORE_LOG" || { echo "store-smoke: cold run should only miss" >&2; exit 1; }
+# The pass budget, as counts that repeat exactly: a cold run replays its
+# recording once (the DCFG rides the recording; 2x before) and makes one
+# checkpoint pass.
+python3 - "$STORE_METRICS" <<'PY' || { echo "store-smoke: pass budget breached" >&2; exit 1; }
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+recorded, replayed = c["pinball.recorded_instructions"], c["pinball.replayed_instructions"]
+assert recorded > 0 and replayed == recorded, f"replayed {replayed} of {recorded} recorded instructions"
+assert c["pinball.checkpoint_replays"] == 1, f'{c["pinball.checkpoint_replays"]} checkpoint passes'
+print(f"store-smoke: cold run recorded {recorded} instructions, replayed them once, one checkpoint pass")
+PY
 COLD_ERR=$(grep 'runtime error' "$STORE_LOG")
 "${RUNNER[@]}" -p demo-matrix-1 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" > "$STORE_LOG" 2>&1 \
   || { cat "$STORE_LOG" >&2; echo "store-smoke: warm run failed" >&2; exit 1; }

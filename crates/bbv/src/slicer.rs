@@ -4,7 +4,6 @@ use crate::vector::{dim, SparseVec};
 use lp_dcfg::Dcfg;
 use lp_isa::{Marker, PcTable, Program, Retired};
 use lp_pinball::ExecObserver;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Slice-length policy (§III-B: fixed ~100 M-per-thread slices by default,
@@ -71,9 +70,8 @@ impl SliceProfile {
 /// once the filtered instruction-count target is met (§III-B: slice size
 /// ≈ N × base for an N-threaded application).
 #[derive(Debug)]
-pub struct LoopAlignedSlicer<'d> {
+pub struct LoopAlignedSlicer {
     program: Arc<Program>,
-    dcfg: &'d Dcfg,
     nthreads: usize,
     slice_target: u64,
     base_target: u64,
@@ -82,10 +80,17 @@ pub struct LoopAlignedSlicer<'d> {
     /// Global execution counts of every main-image loop header (dense:
     /// probed once per retired instruction).
     header_counts: PcTable<u64>,
+    /// `(block id, block length)` at every PC a DCFG block covers:
+    /// [`Dcfg::block_of`]'s answer, dense (probed once per block entry).
+    block_at: PcTable<(u32, u32)>,
+    nblocks: usize,
     /// Per-thread flag: the next retirement enters a new basic block.
     entering_block: Vec<bool>,
-    // Current slice accumulation.
-    cur_bbv: HashMap<u64, u64>,
+    // Current slice accumulation. The BBV is dense, one cell per
+    // (thread, block) at `tid * nblocks + block`; `touched` lists the
+    // non-zero cells, so closing a slice costs what the slice touched.
+    cur_bbv: Vec<u64>,
+    touched: Vec<usize>,
     cur_filtered: u64,
     cur_total: u64,
     cur_per_thread: Vec<u64>,
@@ -95,29 +100,36 @@ pub struct LoopAlignedSlicer<'d> {
     total_insts: u64,
 }
 
-impl<'d> LoopAlignedSlicer<'d> {
+impl LoopAlignedSlicer {
     /// Creates a slicer.
     ///
     /// `slice_base` is the per-thread slice size; the global target is
     /// `slice_base × nthreads` filtered instructions (the paper's
     /// N × 100 M, scaled).
-    pub fn new(program: Arc<Program>, dcfg: &'d Dcfg, nthreads: usize, slice_base: u64) -> Self {
+    pub fn new(program: Arc<Program>, dcfg: &Dcfg, nthreads: usize, slice_base: u64) -> Self {
         assert!(slice_base > 0);
         let mut header_counts = PcTable::new(&program);
         for pc in dcfg.main_image_loop_headers() {
             header_counts.get_or_insert_with(pc, || 0);
         }
+        let block_at = PcTable::from_fn(&program, |pc| {
+            let id = dcfg.block_of(pc)?;
+            Some((id.0, dcfg.block(id).len))
+        });
+        let nblocks = dcfg.blocks().len();
         LoopAlignedSlicer {
             program,
-            dcfg,
             nthreads,
             slice_target: slice_base * nthreads as u64,
             base_target: slice_base * nthreads as u64,
             policy: SlicePolicy::Fixed,
             filter_spin: true,
             header_counts,
+            block_at,
+            nblocks,
             entering_block: vec![true; nthreads],
-            cur_bbv: HashMap::new(),
+            cur_bbv: vec![0; nthreads * nblocks],
+            touched: Vec::new(),
             cur_filtered: 0,
             cur_total: 0,
             cur_per_thread: vec![0; nthreads],
@@ -141,7 +153,12 @@ impl<'d> LoopAlignedSlicer<'d> {
     }
 
     fn close_slice(&mut self, end: Option<Marker>) {
-        let bbv = SparseVec::from_map(&self.cur_bbv);
+        let entries = self.touched.drain(..).map(|cell| {
+            let weight = std::mem::take(&mut self.cur_bbv[cell]);
+            let (tid, block) = (cell / self.nblocks, cell % self.nblocks);
+            (dim(tid, block as u32), weight as f64)
+        });
+        let bbv = SparseVec::from_entries(entries.collect());
         self.slices.push(Slice {
             index: self.slices.len(),
             start: self.cur_start,
@@ -151,7 +168,6 @@ impl<'d> LoopAlignedSlicer<'d> {
             total_insts: self.cur_total,
             per_thread_insts: std::mem::replace(&mut self.cur_per_thread, vec![0; self.nthreads]),
         });
-        self.cur_bbv.clear();
         self.cur_filtered = 0;
         self.cur_total = 0;
         self.cur_start = end;
@@ -181,7 +197,7 @@ impl<'d> LoopAlignedSlicer<'d> {
     }
 }
 
-impl ExecObserver for LoopAlignedSlicer<'_> {
+impl ExecObserver for LoopAlignedSlicer {
     fn on_retire(&mut self, r: &Retired) {
         // Slice boundary check happens *before* accounting, so the header
         // execution opens the next slice (the paper's "end a region at the
@@ -200,10 +216,13 @@ impl ExecObserver for LoopAlignedSlicer<'_> {
             self.total_filtered += 1;
             self.cur_per_thread[r.tid] += 1;
             if self.entering_block[r.tid] {
-                if let Some(b) = self.dcfg.block_of(r.pc) {
-                    let block = self.dcfg.block(b);
+                if let Some(&(block, len)) = self.block_at.get(r.pc) {
+                    let cell = r.tid * self.nblocks + block as usize;
+                    if self.cur_bbv[cell] == 0 {
+                        self.touched.push(cell);
+                    }
                     // Standard BBV weighting: entries × block length.
-                    *self.cur_bbv.entry(dim(r.tid, b.0)).or_default() += u64::from(block.len);
+                    self.cur_bbv[cell] += u64::from(len);
                 }
             }
         }

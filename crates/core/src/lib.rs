@@ -11,8 +11,8 @@
 //! ## The pipeline
 //!
 //! ```text
-//!  record ──▶ constrained replay ──▶ DCFG ──▶ loop-aligned, spin-filtered
-//!  (pinball)  (reproducible)         (loops)  slicing + per-thread BBVs
+//!  record + DCFG ──▶ constrained replay ──▶ loop-aligned, spin-filtered
+//!  (pinball, loops)  (reproducible)         slicing + per-thread BBVs
 //!                                                      │
 //!       unconstrained simulation  ◀── looppoints ◀── k-means + BIC
 //!       of each region (warmup +      (PC,count)      clustering

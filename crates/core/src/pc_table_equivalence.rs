@@ -1,16 +1,19 @@
 //! The per-instruction observers keep their per-PC state in dense
 //! [`lp_isa::PcTable`]s. These tests pin their outputs, byte for byte, to
 //! straightforward `HashMap<Pc, _>` reference models (the implementations
-//! the tables replaced) on the `testutil` programs.
+//! the tables replaced) on the `testutil` programs — and the DCFG that
+//! rides the recording to the one a replay builds.
 
 use crate::testutil::{contended_program, phased_program};
 use lp_bbv::{LoopAlignedSlicer, SlicePolicy, SparseVec};
 use lp_dcfg::{Dcfg, DcfgBuilder};
-use lp_isa::{CtrlKind, MachineState, Marker, Pc, Program, Retired};
+use lp_isa::{CtrlKind, Inst, MachineState, Marker, Pc, Program, Retired};
 use lp_live::StreamingSlicer;
 use lp_omp::WaitPolicy;
-use lp_pinball::{ExecObserver, Pinball, RecordConfig};
-use std::collections::HashMap;
+use lp_pinball::{ExecObserver, FnObserver, Pinball, RecordConfig};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 fn programs() -> Vec<(Arc<Program>, usize)> {
@@ -34,6 +37,165 @@ fn state_bytes(s: &MachineState) -> Vec<u8> {
     let mut buf = Vec::new();
     s.write_to(&mut buf).unwrap();
     buf
+}
+
+/// `DcfgBuilder`'s edge collection with the `HashMap<(Pc, Pc), _>` it used
+/// to keep: per-thread trip counts of every control transfer.
+struct HashEdges {
+    nthreads: usize,
+    edges: HashMap<(Pc, Pc), Vec<u64>>,
+}
+
+impl ExecObserver for HashEdges {
+    fn on_retire(&mut self, r: &Retired) {
+        if let Some(ctrl) = r.ctrl {
+            let counts = self.edges.entry((r.pc, ctrl.target));
+            counts.or_insert_with(|| vec![0; self.nthreads])[r.tid] += 1;
+        }
+    }
+}
+
+/// Whether `pc` holds an instruction that ends a basic block.
+fn ends_block(program: &Program, pc: Pc) -> bool {
+    program
+        .inst(pc)
+        .is_none_or(|i| i.is_control() || matches!(i, Inst::Halt))
+}
+
+#[test]
+fn dcfg_builder_matches_hashmap_model() {
+    for (program, nthreads) in programs() {
+        let pinball = Pinball::record(&program, nthreads, RecordConfig::default()).unwrap();
+        let mut real = DcfgBuilder::new(program.clone(), nthreads);
+        let mut model = HashEdges {
+            nthreads,
+            edges: HashMap::new(),
+        };
+        pinball
+            .replay(program.clone(), &mut [&mut real, &mut model], u64::MAX)
+            .unwrap();
+        let dcfg = real.finish();
+
+        // Edges: the map, in key order.
+        let mut want: Vec<(Pc, Pc, Vec<u64>)> = model
+            .edges
+            .iter()
+            .map(|(&(from, to), counts)| (from, to, counts.clone()))
+            .collect();
+        want.sort_unstable();
+        assert!(
+            want.len() > 10,
+            "{}: the model must see edges",
+            program.name()
+        );
+        let got: Vec<(Pc, Pc, Vec<u64>)> = dcfg
+            .edges()
+            .iter()
+            .map(|e| (e.from, e.to, e.per_thread.clone()))
+            .collect();
+        assert_eq!(got, want, "{}", program.name());
+
+        // Blocks: one per leader (an entry, an edge target, the slot after
+        // a control transfer), numbered in PC order, running to the first
+        // block-ending instruction or the next leader.
+        let entries = [Some(program.entry_main()), program.entry_worker()];
+        let leaders: BTreeSet<Pc> = want
+            .iter()
+            .flat_map(|&(from, to, _)| [to, from.next()])
+            .chain(entries.into_iter().flatten())
+            .filter(|&pc| program.inst(pc).is_some())
+            .collect();
+        let got: Vec<Pc> = dcfg.blocks().iter().map(|b| b.leader).collect();
+        assert_eq!(got, leaders.iter().copied().collect::<Vec<Pc>>());
+        for (i, b) in dcfg.blocks().iter().enumerate() {
+            assert_eq!(b.id.0 as usize, i);
+            let mut last = b.leader;
+            while !ends_block(&program, last) && !leaders.contains(&last.next()) {
+                last = last.next();
+            }
+            assert_eq!(b.len, last.offset - b.leader.offset + 1, "{}", b.leader);
+        }
+
+        // Loops: headers are the targets of the backward branches that
+        // executed; a loop iterates as often as its header block is
+        // entered, and its back edges are the recorded edges from its body
+        // into its header.
+        let backward: BTreeSet<Pc> = want
+            .iter()
+            .filter(|(from, to, _)| {
+                let branch = matches!(
+                    program.inst(*from),
+                    Some(Inst::Branch { .. } | Inst::Jump { .. })
+                );
+                branch && to.image == from.image && to.offset <= from.offset
+            })
+            .map(|&(_, to, _)| to)
+            .collect();
+        let headers: BTreeSet<Pc> = dcfg.loop_headers().collect();
+        assert_eq!(headers, backward, "{}", program.name());
+        assert_eq!(headers.len(), dcfg.loops().len());
+        for l in dcfg.loops() {
+            assert!(dcfg.is_loop_header(l.header));
+            assert_eq!(dcfg.block(l.header_block).leader, l.header);
+            assert_eq!(l.iterations, dcfg.block(l.header_block).executions);
+            let trips: u64 = dcfg
+                .edges()
+                .iter()
+                .filter(|e| e.to == l.header)
+                .filter(|e| dcfg.block_of(e.from).is_some_and(|b| l.blocks.contains(&b)))
+                .map(|e| e.total)
+                .sum();
+            assert_eq!(l.back_edge_trips, trips, "{}", l.header);
+        }
+    }
+}
+
+/// The DCFG may ride the recording because its edge counts are per thread:
+/// a recording and its replay hand every thread the same stream, but they
+/// interleave the threads differently — whenever there is more than one.
+#[test]
+fn dcfg_on_the_recording_is_the_dcfg_on_a_replay() {
+    let mut cases = Vec::new();
+    for nthreads in [1, 2, 4, 8] {
+        cases.push((contended_program(nthreads), nthreads));
+        for policy in [WaitPolicy::Passive, WaitPolicy::Active] {
+            cases.push((phased_program(nthreads, policy, 2), nthreads));
+        }
+    }
+    for (program, nthreads) in cases {
+        // Per pass: the DCFG's encoding, one hash per thread of that
+        // thread's own stream, and a hash of the global retirement order.
+        let observe = |pass: &mut dyn FnMut(&mut [&mut dyn ExecObserver])| {
+            let mut builder = DcfgBuilder::new(program.clone(), nthreads);
+            // `DefaultHasher::new()` is keyed with constants: hashes of
+            // equal streams are equal.
+            let mut order = DefaultHasher::new();
+            let mut per_thread = vec![DefaultHasher::new(); nthreads];
+            let mut hasher = FnObserver(|r: &Retired| {
+                (r.tid, r.pc).hash(&mut order);
+                (r.pc, r.next_pc).hash(&mut per_thread[r.tid]);
+            });
+            pass(&mut [&mut builder, &mut hasher]);
+            let meta = crate::persist::encode_analysis_meta(&builder.finish(), &[]);
+            let per_thread: Vec<u64> = per_thread.iter().map(Hasher::finish).collect();
+            (meta, per_thread, order.finish())
+        };
+        let mut pinball = None;
+        let (recorded, record_threads, record_order) = observe(&mut |observers| {
+            let cfg = RecordConfig::default();
+            pinball = Some(Pinball::record_with(&program, nthreads, cfg, observers).unwrap());
+        });
+        let pinball = pinball.expect("the pass ran");
+        let (replayed, replay_threads, replay_order) = observe(&mut |observers| {
+            pinball
+                .replay(program.clone(), observers, u64::MAX)
+                .unwrap();
+        });
+        let what = format!("{} on {nthreads} threads", program.name());
+        assert_eq!(recorded, replayed, "{what}");
+        assert_eq!(record_threads, replay_threads, "{what}");
+        assert_eq!(record_order == replay_order, nthreads == 1, "{what}");
+    }
 }
 
 /// One closed slice or region, in comparable form.

@@ -752,6 +752,37 @@ mod tests {
         }
     }
 
+    /// Two runs (or two ring nodes) store an artifact under one content
+    /// key, so its bytes must not depend on the run: no hash-map iteration
+    /// order may reach an encoder.
+    #[test]
+    fn artifacts_are_a_function_of_their_key() {
+        for (program, nthreads) in [
+            (testutil::phased_program(4, WaitPolicy::Active, 3), 4),
+            (testutil::contended_program(3), 3),
+        ] {
+            let cfg = LoopPointConfig::with_slice_base(500);
+            let encodings = |_| {
+                let a = analyze(&program, nthreads, &cfg).unwrap();
+                [
+                    encode_analysis_meta(&a.dcfg, &a.looppoints),
+                    encode_profile(&a.profile),
+                    encode_clustering(&a.clustering),
+                ]
+            };
+            let runs: Vec<[Vec<u8>; 3]> = (0..8).map(encodings).collect();
+            for run in &runs[1..] {
+                assert!(run == &runs[0], "{}: encodings differ", program.name());
+            }
+            let [meta, profile, clustering] = &runs[0];
+            let (dcfg, looppoints) = decode_analysis_meta(meta, &program).unwrap();
+            assert_eq!(&encode_analysis_meta(&dcfg, &looppoints), meta);
+            assert_eq!(&encode_profile(&decode_profile(profile).unwrap()), profile);
+            let decoded = decode_clustering(clustering).unwrap();
+            assert_eq!(&encode_clustering(&decoded), clustering);
+        }
+    }
+
     #[test]
     fn truncated_payloads_are_rejected_not_panicking() {
         let program = test_program();

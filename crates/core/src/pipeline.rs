@@ -1,11 +1,11 @@
-//! The up-front analysis: record → replay → DCFG → slice → cluster.
+//! The up-front analysis: record + DCFG → replay + slice → cluster.
 
 use crate::config::LoopPointConfig;
 use crate::error::LoopPointError;
 use lp_bbv::{LoopAlignedSlicer, SliceProfile};
 use lp_dcfg::{Dcfg, DcfgBuilder};
 use lp_isa::{Marker, Program};
-use lp_pinball::Pinball;
+use lp_pinball::{Pinball, RecordConfig};
 use lp_simpoint::{cluster, Clustering};
 use std::sync::Arc;
 
@@ -79,9 +79,11 @@ impl Analysis {
 }
 
 /// Runs the one-time, up-front application analysis (§III-A through
-/// §III-E): records a flow-controlled pinball, replays it twice (DCFG, then
-/// loop-aligned spin-filtered BBV slicing), clusters the slice vectors, and
-/// selects one representative region per cluster with its Eq. 2 multiplier.
+/// §III-E): records a flow-controlled pinball with the DCFG builder riding
+/// the recording, replays it once (loop-aligned spin-filtered BBV slicing),
+/// clusters the slice vectors, and selects one representative region per
+/// cluster with its Eq. 2 multiplier. `cfg.max_steps` bounds every pass,
+/// the recording included.
 ///
 /// # Errors
 /// Pinball/record failures, or [`LoopPointError::NoSlices`] when the
@@ -96,10 +98,17 @@ pub fn analyze(
     analyze_span.arg("nthreads", nthreads);
 
     cfg.cancel.check()?;
-    // 1. Reproducible capture (§III-H).
+    // 1. Reproducible capture (§III-H), with the DCFG's edge collection
+    // on the same pass: per-thread edge counts do not depend on how the
+    // pass interleaves threads, so the recording's order serves.
+    let mut dcfg_builder = DcfgBuilder::new(program.clone(), nthreads);
     let pinball = {
         let mut span = obs.span("analyze.record", "pipeline");
-        let pinball = Pinball::record(program, nthreads, cfg.record)?;
+        let record = RecordConfig {
+            max_steps: cfg.record.max_steps.min(cfg.max_steps),
+            ..cfg.record
+        };
+        let pinball = Pinball::record_with(program, nthreads, record, &mut [&mut dcfg_builder])?;
         span.arg("instructions", pinball.instructions());
         pinball
     };
@@ -112,8 +121,6 @@ pub fn analyze(
     // 2. DCFG: identify loops (§III-D).
     let dcfg = {
         let mut span = obs.span("analyze.dcfg", "pipeline");
-        let mut dcfg_builder = DcfgBuilder::new(program.clone(), nthreads);
-        pinball.replay(program.clone(), &mut [&mut dcfg_builder], cfg.max_steps)?;
         let dcfg = dcfg_builder.finish();
         span.arg("loop_headers", dcfg.main_image_loop_headers().len());
         dcfg
@@ -192,4 +199,42 @@ pub fn analyze(
         clustering,
         looppoints,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::phased_program;
+    use lp_omp::WaitPolicy;
+    use lp_pinball::PinballError;
+
+    /// `--max-steps` bounds the first pass: a budget the program exceeds
+    /// stops the recording, not the replay after it.
+    #[test]
+    fn max_steps_bounds_the_recording() {
+        // lp-pinball reports to the process-global observer. This test is
+        // the only one of the binary to install one, and reads only the
+        // spans of its own trace.
+        let observer = lp_obs::Observer::enabled();
+        lp_obs::set_global(observer.clone()).expect("no other test installs an observer");
+        let trace = lp_obs::TraceContext::new_root();
+        let _attached = trace.attach();
+
+        let program = phased_program(2, WaitPolicy::Passive, 3);
+        let cfg = LoopPointConfig {
+            max_steps: 1_000,
+            ..LoopPointConfig::with_slice_base(500)
+        };
+        let err = analyze(&program, 2, &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LoopPointError::Pinball(PinballError::StepLimit { limit: 1_000 })
+            ),
+            "{err}"
+        );
+        let spans = observer.trace_events_for(trace.trace_id);
+        assert!(spans.iter().any(|e| e.name == "pinball.record"));
+        assert!(spans.iter().all(|e| e.name != "pinball.replay"));
+    }
 }

@@ -1,23 +1,39 @@
 //! Single-pass checkpoint generation: equivalence with one one-marker
 //! `Pinball::checkpoints_at` replay per region, the one-replay guarantee,
-//! and serial/pooled simulation determinism.
+//! serial/pooled simulation determinism, and the pass budget of a cold
+//! pipeline run.
 
 use looppoint::{
-    analyze, prepare_region_checkpoints, simulate_prepared, simulate_representatives_checkpointed,
-    LoopPointConfig, PreparedCheckpoints, PreparedRegion, SimOptions,
+    analyze, prepare_region_checkpoints, run_pipeline, simulate_prepared,
+    simulate_representatives_checkpointed, LoopPointConfig, PreparedCheckpoints, PreparedRegion,
+    SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
 use lp_workloads::{build, matrix_demo, InputClass};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const NTHREADS: usize = 4;
 const WARMUP_SLICES: usize = 2;
 
-fn demo_analysis() -> (Arc<lp_isa::Program>, usize, looppoint::Analysis) {
+/// One test at a time: the pass-budget test reads process-global counters
+/// that every pipeline run of this binary adds to.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn demo_program() -> (Arc<lp_isa::Program>, usize) {
     let spec = matrix_demo(1);
     let n = spec.effective_threads(NTHREADS);
     let p = build(&spec, InputClass::Test, NTHREADS, WaitPolicy::Passive);
+    (p, n)
+}
+
+fn demo_analysis() -> (Arc<lp_isa::Program>, usize, looppoint::Analysis) {
+    let (p, n) = demo_program();
     let cfg = LoopPointConfig::with_slice_base(4_000);
     let analysis = analyze(&p, n, &cfg).unwrap();
     (p, n, analysis)
@@ -80,6 +96,7 @@ fn assert_stats_eq(a: &lp_sim::SimStats, b: &lp_sim::SimStats, what: &str) {
 
 #[test]
 fn single_pass_prepares_identical_checkpoints_in_one_replay() {
+    let _serial = serial();
     let (p, _, analysis) = demo_analysis();
     assert!(
         analysis.looppoints.len() >= 2,
@@ -125,6 +142,7 @@ fn single_pass_prepares_identical_checkpoints_in_one_replay() {
 
 #[test]
 fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
+    let _serial = serial();
     let (p, n, analysis) = demo_analysis();
     let simcfg = SimConfig::gainestown(n);
 
@@ -167,4 +185,43 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
         assert_stats_eq(&s.stats, &l.stats, "single-pass vs per-region prepare");
         assert_stats_eq(&s.stats, &q.stats, "serial vs pooled simulation");
     }
+}
+
+/// The pass budget, counted: a cold pipeline run steps the program through
+/// one recording (the DCFG rides it), one replay (the slicer) and one
+/// checkpoint pass before it simulates regions.
+#[test]
+fn cold_pipeline_records_replays_and_checkpoints_once_each() {
+    let _serial = serial();
+    // lp-pinball reports to the process-global observer; the spans of this
+    // run are told from any other's by its trace.
+    let observer = lp_obs::Observer::enabled();
+    lp_obs::set_global(observer.clone()).expect("no other test installs an observer");
+    let trace = lp_obs::TraceContext::new_root();
+
+    let (p, n) = demo_program();
+    let cfg = LoopPointConfig::with_slice_base(4_000).with_trace(Some(trace));
+    let counter = |name: &str| observer.counter(name).get();
+    let (recorded, replayed) = (
+        counter("pinball.recorded_instructions"),
+        counter("pinball.replayed_instructions"),
+    );
+    let simcfg = SimConfig::gainestown(n);
+    let opts = SimOptions::default();
+    let run = run_pipeline(&p, n, &cfg, &simcfg, &opts, WARMUP_SLICES, None).unwrap();
+    assert!(!run.analysis_from_store && !run.checkpoints_from_store);
+
+    let spans = observer.trace_events_for(trace.trace_id);
+    for pass in [
+        "pinball.record",
+        "pinball.replay",
+        "pinball.checkpoint_pass",
+    ] {
+        let opened = spans.iter().filter(|e| e.name == pass).count();
+        assert_eq!(opened, 1, "{pass} spans");
+    }
+    let recorded = counter("pinball.recorded_instructions") - recorded;
+    let replayed = counter("pinball.replayed_instructions") - replayed;
+    assert_eq!(recorded, run.analysis.pinball.instructions());
+    assert_eq!(replayed, recorded, "one replay of the recording");
 }

@@ -1,9 +1,8 @@
 //! Edge collection from the retirement stream.
 
 use crate::graph::Dcfg;
-use lp_isa::{CtrlKind, Pc, Program, Retired};
+use lp_isa::{CtrlKind, Pc, PcTable, Program, Retired};
 use lp_pinball::ExecObserver;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Classification of a recorded control-flow edge.
@@ -17,17 +16,21 @@ pub(crate) enum EdgeKind {
     Ret,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug)]
 pub(crate) struct EdgeData {
-    pub kind: Option<EdgeKind>,
+    pub from: Pc,
+    pub to: Pc,
+    pub kind: EdgeKind,
     /// Trip count per thread.
     pub counts: Vec<u64>,
 }
 
 /// Observer that accumulates a DCFG from retirements.
 ///
-/// Feed it to [`lp_pinball::Pinball::replay`], then call
-/// [`DcfgBuilder::finish`].
+/// Feed it to [`lp_pinball::Pinball::replay`] or
+/// [`lp_pinball::Pinball::record_with`], then call [`DcfgBuilder::finish`]:
+/// edges are counted per thread, so the graph does not depend on how the
+/// pass interleaved the threads.
 ///
 /// ```
 /// use lp_dcfg::DcfgBuilder;
@@ -56,11 +59,12 @@ pub(crate) struct EdgeData {
 #[derive(Debug)]
 pub struct DcfgBuilder {
     program: Arc<Program>,
-    pub(crate) nthreads: usize,
-    pub(crate) edges: HashMap<(Pc, Pc), EdgeData>,
-    /// Per-thread PC of the last retired instruction, to record
-    /// fall-through edges out of non-control instructions *only* when they
-    /// terminate a block (we derive those statically instead).
+    nthreads: usize,
+    /// The observed edges out of each control-transfer PC (dense: probed
+    /// once per retired control transfer). A branch has at most two
+    /// targets and only indirect calls and returns can have more, so each
+    /// list is scanned, not hashed.
+    out_edges: PcTable<Vec<EdgeData>>,
     entry_pcs: Vec<Pc>,
 }
 
@@ -73,27 +77,48 @@ impl DcfgBuilder {
             entry_pcs.push(w);
         }
         DcfgBuilder {
+            out_edges: PcTable::new(&program),
             program,
             nthreads,
-            edges: HashMap::new(),
             entry_pcs,
         }
     }
 
     fn record(&mut self, tid: usize, from: Pc, to: Pc, kind: EdgeKind) {
-        let data = self.edges.entry((from, to)).or_insert_with(|| EdgeData {
-            kind: None,
-            counts: vec![0; self.nthreads],
+        // Only a PC of the program can retire, so every edge has a slot.
+        let Some(out) = self.out_edges.get_or_insert_with(from, Vec::new) else {
+            return;
+        };
+        let i = out.iter().position(|e| e.to == to).unwrap_or_else(|| {
+            out.push(EdgeData {
+                from,
+                to,
+                kind,
+                counts: vec![0; self.nthreads],
+            });
+            out.len() - 1
         });
-        data.kind.get_or_insert(kind);
-        data.counts[tid] += 1;
+        out[i].counts[tid] += 1;
+    }
+
+    /// Every recorded edge, in ascending `(from, to)` order — the one order
+    /// [`Dcfg::build`] consumes them in, so the graph is a function of the
+    /// edge set alone.
+    fn sorted_edges(&mut self) -> Vec<EdgeData> {
+        let mut edges = Vec::new();
+        for (_, out) in self.out_edges.iter_mut() {
+            out.sort_by_key(|e| e.to);
+            edges.append(out);
+        }
+        edges
     }
 
     /// Finalizes the graph: derives non-overlapping basic blocks, splits
     /// routines at call edges, computes dominators, and identifies natural
     /// loops.
-    pub fn finish(self) -> Dcfg {
-        Dcfg::build(self.program.clone(), self.entry_pcs.clone(), self)
+    pub fn finish(mut self) -> Dcfg {
+        let edges = self.sorted_edges();
+        Dcfg::build(self.program, self.entry_pcs, self.nthreads, &edges)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Basic-block derivation and the finished DCFG.
 
-use crate::builder::{DcfgBuilder, EdgeKind};
+use crate::builder::{EdgeData, EdgeKind};
 use crate::loops::{find_loops, LoopInfo, Routine};
 use lp_isa::{ImageId, Inst, Pc, Program};
 use std::collections::{HashMap, HashSet};
@@ -50,10 +50,17 @@ pub struct Dcfg {
 }
 
 impl Dcfg {
-    pub(crate) fn build(program: Arc<Program>, entries: Vec<Pc>, builder: DcfgBuilder) -> Dcfg {
+    /// Builds the graph of an `nthreads`-thread execution from its recorded
+    /// edges, given in ascending `(from, to)` order.
+    pub(crate) fn build(
+        program: Arc<Program>,
+        entries: Vec<Pc>,
+        nthreads: usize,
+        recorded: &[EdgeData],
+    ) -> Dcfg {
         // ---- 1. leader set --------------------------------------------------
         let mut leaders: HashSet<Pc> = entries.iter().copied().collect();
-        for &(from, to) in builder.edges.keys() {
+        for &EdgeData { from, to, .. } in recorded {
             leaders.insert(to);
             // The fall-through successor of any control transfer starts a
             // block (even if only reached on the not-taken path).
@@ -108,17 +115,15 @@ impl Dcfg {
         }
 
         // ---- 3. edge list and execution counts ------------------------------
-        let mut edges: Vec<Edge> = builder
-            .edges
+        let edges: Vec<Edge> = recorded
             .iter()
-            .map(|(&(from, to), data)| Edge {
-                from,
-                to,
+            .map(|data| Edge {
+                from: data.from,
+                to: data.to,
                 total: data.counts.iter().sum(),
                 per_thread: data.counts.clone(),
             })
             .collect();
-        edges.sort_by_key(|e| (e.from, e.to));
 
         fn lookup_in(
             index: &HashMap<ImageId, Vec<(u32, BlockId)>>,
@@ -147,7 +152,7 @@ impl Dcfg {
             if let Some(b) = lookup(*entry) {
                 // Main entry runs once; worker entry once per extra thread.
                 let times = if Some(*entry) == program.entry_worker() {
-                    (builder.nthreads.saturating_sub(1)) as u64
+                    (nthreads.saturating_sub(1)) as u64
                 } else {
                     1
                 };
@@ -194,14 +199,16 @@ impl Dcfg {
                 routine_entries.insert(b);
             }
         }
-        for (&(from, to), data) in &builder.edges {
+        // In `(from, to)` order: `find_loops` walks successors in the
+        // order given and writes its visit order into `Routine::blocks`.
+        for data in recorded {
             let (Some(fb), Some(tb)) = (
-                lookup_in(&index, &blocks, from),
-                lookup_in(&index, &blocks, to),
+                lookup_in(&index, &blocks, data.from),
+                lookup_in(&index, &blocks, data.to),
             ) else {
                 continue;
             };
-            match data.kind.unwrap_or(EdgeKind::Intra) {
+            match data.kind {
                 EdgeKind::Intra => intra.push((fb, tb, data.counts.iter().sum())),
                 EdgeKind::Call => {
                     routine_entries.insert(tb);
@@ -209,7 +216,7 @@ impl Dcfg {
                     // its return point: connect the call block to the
                     // fall-through block so caller loops spanning calls
                     // stay intact.
-                    if let Some(ret_b) = lookup_in(&index, &blocks, from.next()) {
+                    if let Some(ret_b) = lookup_in(&index, &blocks, data.from.next()) {
                         intra.push((fb, ret_b, data.counts.iter().sum()));
                     }
                 }

@@ -4,7 +4,7 @@
 //! *Dynamic* Control-Flow Graph (§III-D, §IV-D of the paper): a CFG whose
 //! edges carry trip counts observed during a (constrained, reproducible)
 //! execution. This crate builds that graph from the retirement stream of an
-//! `lp-pinball` replay:
+//! `lp-pinball` recording or replay:
 //!
 //! 1. [`DcfgBuilder`] records every control-flow edge with per-thread trip
 //!    counts;

@@ -32,7 +32,7 @@ pub enum ThreadState {
     Halted,
 }
 
-/// A memory access performed (or previewed) by an instruction.
+/// A memory access performed by an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Word-aligned effective address.
@@ -85,6 +85,10 @@ pub enum StepResult {
     Blocked,
     /// The thread had already halted or was blocked; nothing happened.
     Idle,
+    /// Only from [`Machine::step_private`]: the thread's next instruction
+    /// accesses shared memory, and nothing happened — no register, memory,
+    /// futex-queue or counter changed.
+    AtShared,
 }
 
 #[derive(Debug, Clone)]
@@ -274,36 +278,54 @@ impl Machine {
         }
     }
 
-    /// Previews the memory access the next instruction of `tid` would
-    /// perform, without executing it. Returns `None` for non-memory
-    /// instructions, blocked/halted threads, or invalid PCs.
-    ///
-    /// Constrained (pinball) replay uses this to decide whether a thread may
-    /// proceed without violating the recorded shared-access order.
-    pub fn preview_access(&self, tid: usize) -> Option<MemAccess> {
-        let t = self.threads.get(tid)?;
-        if t.state != ThreadState::Running {
-            return None;
-        }
-        match *self.program.inst(t.pc)? {
-            Inst::Load { base, off, .. } => Some(self.access(tid, base, off, false, false)),
-            Inst::Store { base, off, .. } => Some(self.access(tid, base, off, true, false)),
-            Inst::AtomicAdd { base, off, .. }
-            | Inst::AtomicXchg { base, off, .. }
-            | Inst::AtomicCas { base, off, .. } => Some(self.access(tid, base, off, true, true)),
-            Inst::FutexWait { base, off, .. } => Some(self.access(tid, base, off, false, true)),
-            Inst::FutexWake { base, off, .. } => Some(self.access(tid, base, off, false, true)),
-            _ => None,
-        }
-    }
-
     /// Executes one instruction on thread `tid`.
+    ///
+    /// Deliberately not `#[inline]`: no pass gains from it end to end,
+    /// while [`Machine::run_to_completion`] would drop the [`Retired`]
+    /// record and the ledger's bare-VM speed, the yardstick of every other
+    /// layer, would double for a loop no pass runs (DESIGN.md §3).
     ///
     /// # Errors
     /// Returns [`MachineError`] for invalid thread ids, invalid PCs, and
     /// call-stack violations. Stepping a blocked or halted thread is not an
     /// error; it returns [`StepResult::Idle`].
     pub fn step(&mut self, tid: usize) -> Result<StepResult, MachineError> {
+        self.step_gated::<false>(tid)
+    }
+
+    /// [`Machine::step`], unless the instruction accesses shared memory:
+    /// then nothing executes and the answer is [`StepResult::AtShared`].
+    ///
+    /// Constrained (pinball) replay runs threads with this until they reach
+    /// the recorded shared-access order, so classifying an instruction and
+    /// executing it share one fetch, decode and effective address. It is
+    /// `#[inline]` so that the replayer's loop sees through the call.
+    ///
+    /// # Errors
+    /// As [`Machine::step`].
+    #[inline]
+    pub fn step_private(&mut self, tid: usize) -> Result<StepResult, MachineError> {
+        self.step_gated::<true>(tid)
+    }
+
+    /// The one body that executes instructions. With `PRIVATE_ONLY`, every
+    /// memory instruction answers [`StepResult::AtShared`] in place of its
+    /// first side effect when its effective address is shared.
+    #[inline(always)]
+    fn step_gated<const PRIVATE_ONLY: bool>(
+        &mut self,
+        tid: usize,
+    ) -> Result<StepResult, MachineError> {
+        // The effective access of a memory instruction, behind the gate.
+        macro_rules! access {
+            ($base:expr, $off:expr, $write:expr, $atomic:expr) => {{
+                let acc = self.access(tid, $base, $off, $write, $atomic);
+                if PRIVATE_ONLY && acc.shared {
+                    return Ok(StepResult::AtShared);
+                }
+                acc
+            }};
+        }
         if tid >= self.threads.len() {
             return Err(MachineError::BadThread {
                 tid,
@@ -346,12 +368,12 @@ impl Machine {
                 self.threads[tid].regs[rd] = op.apply(a, b);
             }
             Inst::Load { rd, base, off } => {
-                let acc = self.access(tid, base, off, false, false);
+                let acc = access!(base, off, false, false);
                 self.threads[tid].regs[rd] = self.mem.load(acc.addr);
                 mem_access = Some(acc);
             }
             Inst::Store { rs, base, off } => {
-                let acc = self.access(tid, base, off, true, false);
+                let acc = access!(base, off, true, false);
                 self.mem.store(acc.addr, self.threads[tid].regs[rs]);
                 mem_access = Some(acc);
             }
@@ -420,7 +442,7 @@ impl Machine {
                 self.threads[tid].regs[rd] = tid as u64;
             }
             Inst::AtomicAdd { rd, base, off, rs } => {
-                let acc = self.access(tid, base, off, true, true);
+                let acc = access!(base, off, true, true);
                 let old = self.mem.load(acc.addr);
                 let add = self.threads[tid].regs[rs];
                 self.mem.store(acc.addr, old.wrapping_add(add));
@@ -428,7 +450,7 @@ impl Machine {
                 mem_access = Some(acc);
             }
             Inst::AtomicXchg { rd, base, off, rs } => {
-                let acc = self.access(tid, base, off, true, true);
+                let acc = access!(base, off, true, true);
                 let old = self.mem.load(acc.addr);
                 self.mem.store(acc.addr, self.threads[tid].regs[rs]);
                 self.threads[tid].regs[rd] = old;
@@ -441,7 +463,7 @@ impl Machine {
                 expected,
                 new,
             } => {
-                let acc = self.access(tid, base, off, true, true);
+                let acc = access!(base, off, true, true);
                 let old = self.mem.load(acc.addr);
                 if old == self.threads[tid].regs[expected] {
                     self.mem.store(acc.addr, self.threads[tid].regs[new]);
@@ -454,7 +476,7 @@ impl Machine {
                 off,
                 expected,
             } => {
-                let acc = self.access(tid, base, off, false, true);
+                let acc = access!(base, off, false, true);
                 if self.mem.load(acc.addr) == self.threads[tid].regs[expected] {
                     // Sleep; the instruction re-executes after wake-up.
                     self.threads[tid].state = ThreadState::Blocked { addr: acc.addr };
@@ -467,7 +489,7 @@ impl Machine {
                 mem_access = Some(acc);
             }
             Inst::FutexWake { base, off, count } => {
-                let acc = self.access(tid, base, off, false, true);
+                let acc = access!(base, off, false, true);
                 if let Some(q) = self.futex_waiters.get_mut(&acc.addr.0) {
                     for _ in 0..count {
                         match q.pop_front() {
@@ -701,7 +723,7 @@ mod tests {
             match m.step(1).unwrap() {
                 StepResult::Blocked => break,
                 StepResult::Retired(_) => {}
-                StepResult::Idle => panic!("worker went idle unexpectedly"),
+                other => panic!("worker went {other:?} unexpectedly"),
             }
         }
         assert!(matches!(m.thread_state(1), ThreadState::Blocked { .. }));
@@ -732,27 +754,6 @@ mod tests {
             }
         }
         assert_eq!(mach.thread_state(1), ThreadState::Halted);
-    }
-
-    #[test]
-    fn preview_access_matches_execution() {
-        let mut pb = ProgramBuilder::new("t");
-        let mut c = pb.main_code();
-        c.li(Reg::R1, 0x100);
-        c.load(Reg::R2, Reg::R1, 8);
-        c.halt();
-        c.finish();
-        let mut m = Machine::new(Arc::new(pb.finish()), 1);
-        m.step(0).unwrap(); // prologue
-        m.step(0).unwrap(); // li
-        let preview = m.preview_access(0).unwrap();
-        assert_eq!(preview.addr, Addr(0x108));
-        assert!(!preview.write);
-        assert!(preview.shared);
-        match m.step(0).unwrap() {
-            StepResult::Retired(r) => assert_eq!(r.mem.unwrap().addr, preview.addr),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -38,6 +38,14 @@ impl<T> PcTable<T> {
         }
     }
 
+    /// A table holding `f(pc)` wherever it is `Some`, asked once for every
+    /// PC of `program`.
+    pub fn from_fn(program: &Program, f: impl FnMut(Pc) -> Option<T>) -> Self {
+        let mut table = Self::new(program);
+        table.slots = slot_pcs(&table.image_starts).map(f).collect();
+        table
+    }
+
     /// The slot of `pc`, or `None` when `pc` names no instruction of the
     /// program the table was sized from.
     #[inline]
@@ -127,6 +135,8 @@ mod tests {
         assert_eq!(t.get(main_pc), Some(&2));
         assert_eq!(t.get(lib_pc), Some(&7));
         assert_eq!(t.get(p.entry_main()), None, "in range but never set");
+        let filled = PcTable::from_fn(&p, |pc| t.get(pc).copied());
+        assert_eq!(filled, t);
         *t.get_mut(lib_pc).unwrap() = 9;
         let all: Vec<(Pc, u64)> = t.iter().map(|(pc, &v)| (pc, v)).collect();
         assert_eq!(all, vec![(main_pc, 2), (lib_pc, 9)]);

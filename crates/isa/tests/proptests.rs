@@ -256,3 +256,127 @@ proptest! {
         prop_assert!(table.iter().all(|(pc, _)| in_program(pc)));
     }
 }
+
+/// The seven memory instruction kinds, by index.
+const MEM_KINDS: u8 = 7;
+
+/// Emits memory instruction `kind` at `off(base)`, with operands among
+/// r1..r3.
+fn emit_mem(c: &mut CodeBuilder<'_>, kind: u8, base: Reg, off: i64) {
+    match kind {
+        0 => c.load(Reg::R1, base, off),
+        1 => c.store(Reg::R2, base, off),
+        2 => c.atomic_add(Reg::R1, base, off, Reg::R2),
+        3 => c.atomic_xchg(Reg::R1, base, off, Reg::R3),
+        4 => c.atomic_cas(Reg::R1, base, off, Reg::R2, Reg::R3),
+        5 => c.futex_wait(base, off, Reg::R2),
+        _ => c.futex_wake(base, off, 1),
+    };
+}
+
+/// A two-thread program, both threads running the same straight-line code:
+/// r20 points into shared memory, r21 into the thread's own private stripe.
+fn gated_step_program(body: impl FnOnce(&mut CodeBuilder<'_>)) -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("gated");
+    let entry = pb.new_label();
+    pb.set_worker_entry(entry);
+    let mut c = pb.main_code();
+    c.bind(entry);
+    c.li(Reg::R20, 0x1000);
+    c.tid(Reg::R22);
+    c.alui(AluOp::Shl, Reg::R22, Reg::R22, 32);
+    c.li(Reg::R21, MemLayout::default().private_for(0).0 as i64);
+    c.alu_add(Reg::R21, Reg::R21, Reg::R22);
+    body(&mut c);
+    c.halt();
+    c.finish();
+    Arc::new(pb.finish())
+}
+
+fn state_bytes(m: &Machine) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    m.snapshot().write_to(&mut bytes).unwrap();
+    bytes
+}
+
+/// Steps thread `tid` of both machines — `gated` with `step_private`,
+/// `twin` with `step` — and holds the gated step to its contract: an
+/// `AtShared` answer changed nothing and the `step` after it is the
+/// twin's; any other answer is the twin's `step` itself. Returns whether
+/// the gate closed.
+fn lockstep(gated: &mut Machine, twin: &mut Machine, tid: usize) -> bool {
+    let before = state_bytes(gated);
+    let private = gated.step_private(tid);
+    let plain = twin.step(tid);
+    let at_shared = private == Ok(StepResult::AtShared);
+    if at_shared {
+        assert_eq!(state_bytes(gated), before, "AtShared changed the machine");
+        assert_eq!(gated.step(tid), plain);
+    } else {
+        assert_eq!(private, plain);
+    }
+    // The gate closes exactly on the instructions that touch shared memory
+    // (a futex wait that sleeps retires nothing, so it carries no access).
+    match plain {
+        Ok(StepResult::Retired(r)) => assert_eq!(at_shared, r.mem.is_some_and(|m| m.shared)),
+        Ok(StepResult::Blocked) => {}
+        other => assert!(!at_shared, "{other:?}"),
+    }
+    at_shared
+}
+
+/// One case per memory instruction kind, at a shared and at a private
+/// address; the futex wait both sleeping (word == expected) and not.
+#[test]
+fn step_private_gates_every_memory_instruction_kind() {
+    for kind in 0..MEM_KINDS {
+        for (base, shared) in [(Reg::R20, true), (Reg::R21, false)] {
+            for expected in [0, 1] {
+                let p = gated_step_program(|c| {
+                    c.li(Reg::R2, expected);
+                    c.li(Reg::R3, 7);
+                    emit_mem(c, kind, base, 8);
+                });
+                let mut gated = Machine::new(p.clone(), 2);
+                let mut twin = Machine::new(p, 2);
+                let mut gate_closed = 0;
+                for tid in [1, 0] {
+                    while twin.thread_state(tid) == ThreadState::Running {
+                        gate_closed += usize::from(lockstep(&mut gated, &mut twin, tid));
+                    }
+                }
+                assert_eq!(state_bytes(&gated), state_bytes(&twin));
+                // Each thread reaches the instruction once.
+                assert_eq!(gate_closed, if shared { 2 } else { 0 }, "kind {kind}");
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Two machines in lockstep over generated two-thread programs and
+    /// schedules: `step_private` either answers `AtShared` and leaves every
+    /// byte of the machine alone, or is `step`.
+    #[test]
+    fn step_private_is_step_behind_a_gate(
+        ops in prop::collection::vec((0u8..10, 1u8..4, 0i64..3, any::<bool>(), 0i64..3), 1..40),
+        schedule in prop::collection::vec(0usize..2, 1..160),
+    ) {
+        let p = gated_step_program(|c| {
+            for &(op, reg, word, shared, imm) in &ops {
+                let base = if shared { Reg::R20 } else { Reg::R21 };
+                match op {
+                    0..MEM_KINDS => emit_mem(c, op, base, word * 8),
+                    7 => drop(c.li(Reg::from_index(reg), imm)),
+                    _ => drop(c.alui(AluOp::Add, Reg::from_index(reg), Reg::R1, imm)),
+                }
+            }
+        });
+        let mut gated = Machine::new(p.clone(), 2);
+        let mut twin = Machine::new(p, 2);
+        for &tid in &schedule {
+            lockstep(&mut gated, &mut twin, tid);
+        }
+        prop_assert_eq!(state_bytes(&gated), state_bytes(&twin));
+    }
+}

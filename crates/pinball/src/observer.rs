@@ -2,13 +2,26 @@
 
 use lp_isa::Retired;
 
-/// Receives every retired instruction during a (replayed) execution.
+/// Receives every retired instruction of an execution.
 ///
 /// Profiling passes (`lp-dcfg`, `lp-bbv`) implement this; several observers
-/// can run over a single replay, mirroring how Pin tools stack analysis
+/// can run over a single pass, mirroring how Pin tools stack analysis
 /// callbacks on one instrumented run.
+///
+/// Two passes deliver retirements, in different global orders:
+/// [`Pinball::replay`](crate::Pinball::replay) in *replay* order (the
+/// lowest-index thread whose next instruction is private runs first) and
+/// [`Pinball::record_with`](crate::Pinball::record_with) in *recording*
+/// order (round-robin in flow-control quanta). Each thread's own stream is
+/// the same in both; the interleaving of threads is not, for any program
+/// with more than one thread. So only an observer whose output is a
+/// function of the per-thread streams — the DCFG's per-thread edge counts —
+/// may ride a recording; one that counts globally (the slicer's
+/// `(PC, count)` boundaries) belongs on a replay, the order every later
+/// pass reproduces.
 pub trait ExecObserver {
-    /// Called once per retired instruction, in global retirement order.
+    /// Called once per retired instruction, in the pass's global
+    /// retirement order.
     fn on_retire(&mut self, r: &Retired);
 }
 

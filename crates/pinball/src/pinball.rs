@@ -156,6 +156,21 @@ impl Pinball {
         nthreads: usize,
         cfg: RecordConfig,
     ) -> Result<Pinball, PinballError> {
+        Pinball::record_with(program, nthreads, cfg, &mut [])
+    }
+
+    /// [`Pinball::record`], feeding every retirement to `observers` as the
+    /// recording executes it — in *recording* order, which is not the order
+    /// a replay hands out (see [`ExecObserver`]).
+    ///
+    /// # Errors
+    /// As [`Pinball::record`].
+    pub fn record_with(
+        program: &Arc<Program>,
+        nthreads: usize,
+        cfg: RecordConfig,
+        observers: &mut [&mut dyn ExecObserver],
+    ) -> Result<Pinball, PinballError> {
         let obs = lp_obs::global();
         let mut span = obs.span("pinball.record", "pinball");
         span.arg("nthreads", nthreads);
@@ -196,6 +211,9 @@ impl Pinball {
                                 kind: RaceKind::Access,
                             });
                         }
+                        for observer in observers.iter_mut() {
+                            observer.on_retire(r);
+                        }
                         if machine.is_finished() {
                             break 'outer;
                         }
@@ -210,7 +228,7 @@ impl Pinball {
                         });
                         break;
                     }
-                    Ok(StepResult::Idle) => break,
+                    Ok(StepResult::Idle | StepResult::AtShared) => break,
                 }
             }
             tid = (tid + 1) % nthreads;

@@ -5,12 +5,24 @@ use crate::pinball::{PinballError, RaceEvent, RaceKind};
 use lp_isa::{Machine, MachineState, Program, Retired, StepResult, ThreadState};
 use std::sync::Arc;
 
-/// Per-thread scheduling classification cached between steps.
+/// The class of a thread whose next instruction nobody has looked at.
+fn runnable(machine: &Machine, tid: usize) -> Class {
+    if machine.thread_state(tid) == ThreadState::Running {
+        Class::Open
+    } else {
+        Class::NotRunnable
+    }
+}
+
+/// What the replayer knows about a thread's next instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
-    /// Runnable, next instruction does not touch shared memory.
-    Free,
+    /// Runnable, and not known to be at a shared access: may be run with
+    /// [`Machine::step_private`].
+    Open,
     /// Runnable, next instruction is a shared access (ordered by the log).
+    /// Its address depends on the thread's own registers only, so this
+    /// holds until the thread itself steps.
     AtShared,
     /// Blocked or halted.
     NotRunnable,
@@ -44,16 +56,13 @@ impl<'p> Replayer<'p> {
         nthreads: usize,
     ) -> Self {
         let machine = Machine::from_snapshot(program, state);
-        let mut rep = Replayer {
+        let class = (0..nthreads).map(|tid| runnable(&machine, tid)).collect();
+        Replayer {
             machine,
             events,
             idx: event_start,
-            class: vec![Class::Free; nthreads],
-        };
-        for tid in 0..nthreads {
-            rep.reclassify(tid);
+            class,
         }
-        rep
     }
 
     /// The underlying machine (read-only).
@@ -71,25 +80,20 @@ impl<'p> Replayer<'p> {
         self.machine.is_finished()
     }
 
-    fn reclassify(&mut self, tid: usize) {
-        self.class[tid] = if self.machine.thread_state(tid) != ThreadState::Running {
-            Class::NotRunnable
-        } else {
-            match self.machine.preview_access(tid) {
-                Some(acc) if acc.shared => Class::AtShared,
-                _ => Class::Free,
-            }
-        };
-    }
-
-    fn reclassify_woken(&mut self) {
-        for tid in 0..self.class.len() {
-            if self.class[tid] == Class::NotRunnable
-                && self.machine.thread_state(tid) == ThreadState::Running
-            {
-                self.reclassify(tid);
+    /// Reclassifies `tid` after its retirement `r`, and the threads `r`
+    /// woke if it is a `FutexWake`. Returns whether `tid` must give way:
+    /// it halted, or a thread of lower index may have become runnable.
+    fn after_retire(&mut self, tid: usize, r: &Retired) -> bool {
+        self.class[tid] = runnable(&self.machine, tid);
+        let wake = matches!(r.inst, lp_isa::Inst::FutexWake { .. });
+        if wake {
+            for t in 0..self.class.len() {
+                if self.class[t] == Class::NotRunnable {
+                    self.class[t] = runnable(&self.machine, t);
+                }
             }
         }
+        wake || self.class[tid] != Class::Open
     }
 
     /// Replays forward, pushing every retirement to `on_retire` **by
@@ -102,10 +106,14 @@ impl<'p> Replayer<'p> {
     /// This is the one scheduling core of the crate: it owns the replay
     /// schedule (the lowest-index thread whose next instruction is
     /// private runs first; with none, the thread the race log names) and
-    /// every [`PinballError::Diverged`] check. The [`Retired`] record is
-    /// never moved out of the step result — a per-instruction copy of a
-    /// record the machine has just written is what used to make replay
-    /// three times slower than bare execution.
+    /// every [`PinballError::Diverged`] check. Threads are classified
+    /// lazily: the lowest-index [`Class::Open`] thread runs with
+    /// [`Machine::step_private`], which decodes each instruction once and
+    /// either executes it or answers `AtShared`, where classifying every
+    /// thread after every step decoded everything twice. The [`Retired`]
+    /// record is never moved out of the step result — a per-instruction
+    /// copy of a record the machine has just written is what used to make
+    /// replay three times slower than bare execution.
     ///
     /// # Errors
     /// [`PinballError::Diverged`] if the log cannot be honoured (which, for
@@ -121,70 +129,88 @@ impl<'p> Replayer<'p> {
             }
         }
         while !self.machine.is_finished() {
-            // Prefer a thread that is off the shared-access critical path.
-            let free = self.class.iter().position(|&c| c == Class::Free);
-            let following_log = free.is_none();
-            let tid = match free {
-                Some(t) => t,
-                None => match self.events.get(self.idx) {
-                    Some(ev) => ev.tid as usize,
-                    None => {
-                        // Log exhausted with only shared accesses pending:
-                        // the recording ended here too, so any remaining
-                        // runnable work would be divergence.
-                        let pending = self.class.contains(&Class::AtShared);
-                        return Err(diverged(
-                            self.idx,
-                            if pending {
-                                "race log exhausted with shared accesses pending"
-                            } else {
-                                "no runnable thread (deadlock)"
-                            },
-                        ));
+            // Prefer a thread that is off the shared-access critical path,
+            // and keep it until it reaches a shared access or gives way.
+            // Its steps are matched in place and apart from the logged
+            // ones below: the inlined private step then never has to
+            // write its record where an out-of-line call would.
+            if let Some(tid) = self.class.iter().position(|&c| c == Class::Open) {
+                loop {
+                    let step = self.machine.step_private(tid);
+                    match &step {
+                        Err(e) => return Err(e.clone().into()),
+                        Ok(StepResult::AtShared) => {
+                            self.class[tid] = Class::AtShared;
+                            break;
+                        }
+                        Ok(StepResult::Retired(r)) => {
+                            if r.mem.is_some_and(|m| m.shared) {
+                                return Err(diverged(
+                                    self.idx,
+                                    format!(
+                                        "free-scheduled thread {tid} performed a shared access"
+                                    ),
+                                ));
+                            }
+                            let gives_way = self.after_retire(tid, r);
+                            if on_retire(r, self) {
+                                return Ok(());
+                            }
+                            if gives_way {
+                                break;
+                            }
+                        }
+                        Ok(StepResult::Blocked) => {
+                            return Err(diverged(
+                                self.idx,
+                                format!("free-scheduled thread {tid} blocked"),
+                            ));
+                        }
+                        Ok(StepResult::Idle) => unreachable!("an open thread is runnable"),
                     }
-                },
-            };
+                }
+                continue;
+            }
 
+            // Every runnable thread is at a shared access: the race log
+            // names the one that goes next.
+            let Some(&ev) = self.events.get(self.idx) else {
+                // Log exhausted with only shared accesses pending: the
+                // recording ended here too, so any remaining runnable
+                // work would be divergence.
+                let pending = self.class.contains(&Class::AtShared);
+                return Err(diverged(
+                    self.idx,
+                    if pending {
+                        "race log exhausted with shared accesses pending"
+                    } else {
+                        "no runnable thread (deadlock)"
+                    },
+                ));
+            };
+            let tid = ev.tid as usize;
             // Matched in place: `?` would move the record out of the result.
             let step = self.machine.step(tid);
             match &step {
                 Err(e) => return Err(e.clone().into()),
                 Ok(StepResult::Retired(r)) => {
                     let was_shared = r.mem.is_some_and(|m| m.shared);
-                    if following_log {
-                        let ev = self.events[self.idx];
-                        if ev.kind != RaceKind::Access || !was_shared {
-                            return Err(diverged(
-                                self.idx,
-                                format!(
-                                    "expected {:?} by thread {}, got retirement (shared={})",
-                                    ev.kind, ev.tid, was_shared
-                                ),
-                            ));
-                        }
-                        self.idx += 1;
-                    } else if was_shared {
+                    if ev.kind != RaceKind::Access || !was_shared {
                         return Err(diverged(
                             self.idx,
-                            format!("free-scheduled thread {tid} performed a shared access"),
+                            format!(
+                                "expected {:?} by thread {}, got retirement (shared={})",
+                                ev.kind, ev.tid, was_shared
+                            ),
                         ));
                     }
-                    self.reclassify(tid);
-                    if matches!(r.inst, lp_isa::Inst::FutexWake { .. }) {
-                        self.reclassify_woken();
-                    }
+                    self.idx += 1;
+                    self.after_retire(tid, r);
                     if on_retire(r, self) {
                         return Ok(());
                     }
                 }
                 Ok(StepResult::Blocked) => {
-                    if !following_log {
-                        return Err(diverged(
-                            self.idx,
-                            format!("free-scheduled thread {tid} blocked"),
-                        ));
-                    }
-                    let ev = self.events[self.idx];
                     if ev.kind != RaceKind::Block {
                         return Err(diverged(
                             self.idx,
@@ -192,10 +218,10 @@ impl<'p> Replayer<'p> {
                         ));
                     }
                     self.idx += 1;
-                    self.reclassify(tid);
+                    self.class[tid] = Class::NotRunnable;
                     // No retirement; continue scheduling.
                 }
-                Ok(StepResult::Idle) => {
+                Ok(StepResult::Idle | StepResult::AtShared) => {
                     return Err(diverged(
                         self.idx,
                         format!("log named non-runnable thread {tid}"),

@@ -1,9 +1,13 @@
 //! Property-based record/replay equivalence on randomized contended
-//! programs.
+//! programs, the replay schedule against its eager oracle, and one test per
+//! divergence the replayer reports.
 
-use lp_isa::{Addr, AluOp, Machine, Marker, ProgramBuilder, Reg, Retired};
+use lp_isa::{
+    Addr, AluOp, Inst, Machine, MachineState, Marker, ProgramBuilder, Reg, Retired, StepResult,
+    ThreadState,
+};
 use lp_omp::{LockId, OmpRuntime, WaitPolicy, APP_BASE};
-use lp_pinball::{Pinball, PinballError, RaceKind, RecordConfig};
+use lp_pinball::{Pinball, PinballError, RaceEvent, RaceKind, RecordConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -187,6 +191,101 @@ proptest! {
         prop_assert_eq!(&pulled(pb.replayer_from(p.clone(), &ckpt))[..], tail);
         prop_assert_eq!(&pushed(pb.replayer_from(p.clone(), &ckpt), pause_every)[..], tail);
     }
+}
+
+/// Whether thread `tid`'s next instruction accesses shared memory: the
+/// preview the machine used to offer, rebuilt from its public parts.
+fn at_shared(m: &Machine, tid: usize) -> bool {
+    let (base, off) = match m.program().inst(m.pc(tid)) {
+        Some(
+            &Inst::Load { base, off, .. }
+            | &Inst::Store { base, off, .. }
+            | &Inst::AtomicAdd { base, off, .. }
+            | &Inst::AtomicXchg { base, off, .. }
+            | &Inst::AtomicCas { base, off, .. }
+            | &Inst::FutexWait { base, off, .. }
+            | &Inst::FutexWake { base, off, .. },
+        ) => (base, off),
+        _ => return false,
+    };
+    let addr = Addr(m.regs(tid)[base].wrapping_add(off as u64)).align_word();
+    m.program().layout().is_shared(addr)
+}
+
+/// The scheduler `Replayer::drive` replaced, as its oracle: every thread is
+/// classified anew before every step; the lowest-index runnable thread
+/// whose next instruction is private goes, and with none the thread the
+/// race log names. Returns what [`pushed`] does.
+fn eager(
+    program: &Arc<lp_isa::Program>,
+    state: &MachineState,
+    events: &[RaceEvent],
+    mut idx: usize,
+) -> Vec<(Retired, usize)> {
+    let mut m = Machine::from_snapshot(program.clone(), state);
+    let mut out = Vec::new();
+    while !m.is_finished() {
+        let free = (0..m.num_threads())
+            .find(|&t| m.thread_state(t) == ThreadState::Running && !at_shared(&m, t));
+        let tid = free.unwrap_or_else(|| events[idx].tid as usize);
+        match m.step(tid).unwrap() {
+            StepResult::Retired(r) => {
+                if free.is_none() {
+                    assert_eq!(events[idx].kind, RaceKind::Access);
+                    idx += 1;
+                }
+                out.push((r, idx));
+            }
+            StepResult::Blocked => {
+                assert!(free.is_none(), "a free-scheduled thread blocked");
+                assert_eq!(events[idx].kind, RaceKind::Block);
+                idx += 1;
+            }
+            other => panic!("thread {tid}: {other:?}"),
+        }
+    }
+    out
+}
+
+/// Lazy classification changes when a thread's next instruction is looked
+/// at, not who runs: `drive` hands out the eager scheduler's stream, record
+/// for record and log position for log position — from the start, paused
+/// and resumed, and from mid-run checkpoints that hold sleeping threads.
+#[test]
+fn drive_follows_the_eager_schedule() {
+    let mut resumed_with_sleepers = 0;
+    for nthreads in 1..=8 {
+        for policy in [WaitPolicy::Passive, WaitPolicy::Active] {
+            for quantum in [13, 61, 173] {
+                let p = random_program(nthreads, policy, 24, 2, true);
+                let cfg = RecordConfig {
+                    quantum,
+                    max_steps: u64::MAX,
+                };
+                let pb = Pinball::record(&p, nthreads, cfg).unwrap();
+                let want = eager(&p, pb.start_state(), pb.events(), 0);
+                assert_eq!(want.len() as u64, pb.instructions());
+                assert_eq!(want.last().unwrap().1, pb.events().len());
+                assert_eq!(pushed(pb.replayer(p.clone()), usize::MAX), want);
+                assert_eq!(pushed(pb.replayer(p.clone()), 7), want);
+
+                let body = p.symbol("work.loop").unwrap();
+                for cut in [3, 11] {
+                    let ckpt = pb.checkpoint_at(p.clone(), Marker::new(body, cut)).unwrap();
+                    let at_ckpt = Machine::from_snapshot(p.clone(), ckpt.state());
+                    let asleep = |t| matches!(at_ckpt.thread_state(t), ThreadState::Blocked { .. });
+                    resumed_with_sleepers += usize::from((0..nthreads).any(asleep));
+                    let tail = eager(&p, ckpt.state(), pb.events(), ckpt.event_start());
+                    assert_eq!(tail[..], want[ckpt.instructions_before() as usize..]);
+                    assert_eq!(pushed(pb.replayer_from(p.clone(), &ckpt), 5), tail);
+                }
+            }
+        }
+    }
+    assert!(
+        resumed_with_sleepers > 0,
+        "no checkpoint held a thread asleep on a futex"
+    );
 }
 
 /// A hand-laid two-thread program whose race log is known entry by entry:

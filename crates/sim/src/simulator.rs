@@ -379,7 +379,9 @@ impl Simulator {
             let step = self.machine.step(tid);
             match &step {
                 Err(e) => return Err(e.clone().into()),
-                Ok(StepResult::Idle) => unreachable!("picked a runnable thread"),
+                Ok(StepResult::Idle | StepResult::AtShared) => {
+                    unreachable!("picked a runnable thread")
+                }
                 Ok(StepResult::Blocked) => self.clocks[tid] = u64::MAX,
                 Ok(StepResult::Retired(r)) => {
                     steps += 1;
