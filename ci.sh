@@ -80,12 +80,19 @@ assert c["pinball.checkpoint_replays"] == 1, f'{c["pinball.checkpoint_replays"]}
 print(f"store-smoke: cold run recorded {recorded} instructions, replayed them once, one checkpoint pass")
 PY
 COLD_ERR=$(grep 'runtime error' "$STORE_LOG")
+# The directory is the store's only index, checked by exact count: the
+# five containers of this config and nothing beside them (no index, lock
+# or temp file).
+COLD_FILES=$(ls -A "$STORE_DIR")
+[ "$(grep -Ecx '[0-9a-f]{32}-[a-z]+\.lpa' <<<"$COLD_FILES")" = 5 ] && [ "$(wc -l <<<"$COLD_FILES")" = 5 ] \
+  || { echo "$COLD_FILES" >&2; echo "store-smoke: cold store should hold exactly 5 containers and nothing else" >&2; exit 1; }
 "${RUNNER[@]}" -p demo-matrix-1 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" > "$STORE_LOG" 2>&1 \
   || { cat "$STORE_LOG" >&2; echo "store-smoke: warm run failed" >&2; exit 1; }
 grep -q 'analysis served from the artifact store' "$STORE_LOG" || { echo "store-smoke: warm run did not hit" >&2; exit 1; }
 grep -Eq 'store: [1-9][0-9]* hits, 0 misses' "$STORE_LOG" || { echo "store-smoke: warm run should only hit" >&2; exit 1; }
 WARM_ERR=$(grep 'runtime error' "$STORE_LOG")
 [ "$COLD_ERR" = "$WARM_ERR" ] || { echo "store-smoke: warm result differs from cold ($COLD_ERR vs $WARM_ERR)" >&2; exit 1; }
+[ "$(ls -A "$STORE_DIR")" = "$COLD_FILES" ] || { ls -A "$STORE_DIR" >&2; echo "store-smoke: warm run changed the store's file set" >&2; exit 1; }
 # Corrupt one cached artifact in place (flip a mid-file byte) and re-run.
 VICTIM=$(ls "$STORE_DIR"/*-clustering.lpa | head -n1)
 SIZE=$(wc -c < "$VICTIM")

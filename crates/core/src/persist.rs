@@ -121,6 +121,13 @@ fn put_opt_marker(out: &mut Vec<u8>, m: &Option<Marker>) {
     }
 }
 
+/// Smallest encodings of the variable-size records, for [`Rd::len`]
+/// (fixed-size records pass their size directly): a slice is five 8-byte
+/// fields (index, two counts, two empty length prefixes) and two `None`
+/// marker tags; a looppoint region five 8-byte fields and two tags.
+const SLICE_MIN: usize = 5 * 8 + 2;
+const LOOPPOINT_MIN: usize = 5 * 8 + 2;
+
 /// Strict little-endian cursor; every read is bounds-checked.
 struct Rd<'a> {
     b: &'a [u8],
@@ -157,23 +164,26 @@ impl<'a> Rd<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Length prefix with a sanity cap (decoders never pre-allocate more
-    /// than the payload could possibly hold).
-    fn len(&mut self) -> DecodeResult<usize> {
-        let n = self.u64()? as usize;
-        if n > self.b.len().saturating_sub(self.pos) + 1 {
+    /// Element count prefix, capped at what the remaining bytes could hold
+    /// at `min_size` encoded bytes per element — so a decoder's
+    /// `with_capacity(n)` never reserves more than the payload's size
+    /// justifies, whatever the count claims.
+    fn len(&mut self, min_size: usize) -> DecodeResult<usize> {
+        let n = self.u64()?;
+        let room = self.b.len().saturating_sub(self.pos) / min_size;
+        if n > room as u64 {
             return Err(format!("implausible length {n} at byte {}", self.pos));
         }
-        Ok(n)
+        Ok(n as usize)
     }
 
     fn u64_vec(&mut self) -> DecodeResult<Vec<u64>> {
-        let n = self.len()?;
+        let n = self.len(8)?;
         (0..n).map(|_| self.u64()).collect()
     }
 
     fn f64_vec(&mut self) -> DecodeResult<Vec<f64>> {
-        let n = self.len()?;
+        let n = self.len(8)?;
         (0..n).map(|_| self.f64()).collect()
     }
 
@@ -239,13 +249,13 @@ pub fn decode_profile(bytes: &[u8]) -> DecodeResult<SliceProfile> {
     let nthreads = r.u64()? as usize;
     let total_filtered = r.u64()?;
     let total_insts = r.u64()?;
-    let nslices = r.len()?;
+    let nslices = r.len(SLICE_MIN)?;
     let mut slices = Vec::with_capacity(nslices);
     for _ in 0..nslices {
         let index = r.u64()? as usize;
         let start = r.opt_marker()?;
         let end = r.opt_marker()?;
-        let nnz = r.len()?;
+        let nnz = r.len(16)?;
         let mut entries = Vec::with_capacity(nnz);
         for _ in 0..nnz {
             let dim = r.u64()?;
@@ -393,7 +403,7 @@ pub fn decode_analysis_meta(
     program: &Arc<Program>,
 ) -> DecodeResult<(Dcfg, Vec<LoopPointRegion>)> {
     let mut r = Rd::new(bytes);
-    let nblocks = r.len()?;
+    let nblocks = r.len(32)?;
     let mut blocks = Vec::with_capacity(nblocks);
     for _ in 0..nblocks {
         blocks.push(BasicBlock {
@@ -403,7 +413,7 @@ pub fn decode_analysis_meta(
             executions: r.u64()?,
         });
     }
-    let nedges = r.len()?;
+    let nedges = r.len(32)?;
     let mut edges = Vec::with_capacity(nedges);
     for _ in 0..nedges {
         edges.push(Edge {
@@ -413,11 +423,11 @@ pub fn decode_analysis_meta(
             per_thread: r.u64_vec()?,
         });
     }
-    let nroutines = r.len()?;
+    let nroutines = r.len(16)?;
     let mut routines = Vec::with_capacity(nroutines);
     for _ in 0..nroutines {
         let entry = Pc::from_word(r.u64()?);
-        let nb = r.len()?;
+        let nb = r.len(8)?;
         let mut rblocks = Vec::with_capacity(nb);
         for _ in 0..nb {
             rblocks.push(BlockId(r.u64()? as u32));
@@ -427,12 +437,12 @@ pub fn decode_analysis_meta(
             blocks: rblocks,
         });
     }
-    let nloops = r.len()?;
+    let nloops = r.len(40)?;
     let mut loops = Vec::with_capacity(nloops);
     for _ in 0..nloops {
         let header = Pc::from_word(r.u64()?);
         let header_block = BlockId(r.u64()? as u32);
-        let nb = r.len()?;
+        let nb = r.len(8)?;
         let mut lblocks = Vec::with_capacity(nb);
         for _ in 0..nb {
             lblocks.push(BlockId(r.u64()? as u32));
@@ -447,7 +457,7 @@ pub fn decode_analysis_meta(
             iterations,
         });
     }
-    let nlp = r.len()?;
+    let nlp = r.len(LOOPPOINT_MIN)?;
     let mut looppoints = Vec::with_capacity(nlp);
     for _ in 0..nlp {
         looppoints.push(read_looppoint(&mut r)?);
@@ -493,18 +503,18 @@ pub fn encode_checkpoints(prepared: &PreparedCheckpoints) -> Vec<u8> {
 /// Decodes prepared region checkpoints (with `replay_passes = 0`).
 pub fn decode_checkpoints(bytes: &[u8]) -> DecodeResult<PreparedCheckpoints> {
     let mut r = Rd::new(bytes);
-    let n = r.len()?;
+    let n = r.len(LOOPPOINT_MIN + 1)?;
     let mut regions = Vec::with_capacity(n);
     for _ in 0..n {
         let region = read_looppoint(&mut r)?;
         let checkpoint = match r.u8()? {
             0 => None,
             1 => {
-                let len = r.len()?;
+                let len = r.len(1)?;
                 let state_bytes = r.take(len)?;
                 let state = MachineState::read_from(&mut &state_bytes[..])
                     .map_err(|e| format!("bad machine state: {e}"))?;
-                let ncounts = r.len()?;
+                let ncounts = r.len(16)?;
                 let mut counts = Vec::with_capacity(ncounts);
                 for _ in 0..ncounts {
                     let pc = Pc::from_word(r.u64()?);
@@ -808,5 +818,32 @@ mod tests {
         assert!(decode_profile(&encoded[0][..encoded[0].len() - 1]).is_err());
         assert!(decode_clustering(&encoded[1][..encoded[1].len() - 1]).is_err());
         assert!(decode_analysis_meta(&encoded[2][..encoded[2].len() - 1], &program).is_err());
+    }
+
+    /// A count the payload cannot hold is refused by the length check
+    /// before anything is reserved — here 2^20 elements over 1 MiB of
+    /// zeros, which the bytes-remaining cap used to let through.
+    #[test]
+    fn element_counts_are_capped_by_their_minimum_size() {
+        let program = test_program();
+        let claim = |prefix_u64s: usize| {
+            let mut b = vec![0u8; 8 * prefix_u64s];
+            put_u64(&mut b, 1 << 20);
+            b.resize(b.len() + (1 << 20), 0);
+            b
+        };
+        let errors = [
+            decode_profile(&claim(4)).err(),
+            decode_clustering(&claim(1)).err(),
+            decode_analysis_meta(&claim(0), &program).err(),
+            decode_checkpoints(&claim(0)).err(),
+        ];
+        for (decoder, e) in errors.into_iter().enumerate() {
+            assert!(
+                e.as_deref()
+                    .is_some_and(|e| e.starts_with("implausible length 1048576")),
+                "decoder {decoder}: {e:?}"
+            );
+        }
     }
 }

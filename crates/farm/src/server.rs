@@ -30,7 +30,7 @@ use lp_obs::http::{self, Request, Response};
 use lp_obs::httpd::{Handler, HttpServer, ServerConfig};
 use lp_obs::json::Value;
 use lp_obs::names;
-use lp_obs::TraceContext;
+use lp_obs::{SpanGuard, TraceContext};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
@@ -105,11 +105,17 @@ impl FarmServer {
         let handler_shared = Arc::clone(&shared);
         let handler: Handler = Arc::new(move |req: &Request| {
             // A propagated traceparent parents the request span (and any
-            // jobs this request submits) under the client's trace.
+            // jobs this request submits) under the client's trace. An
+            // untraced request gets no span: nothing would ever harvest
+            // it from the sink, so a daemon would keep one per request.
             let trace_guard = req.trace.as_ref().map(|t| t.attach());
-            let mut span = handler_farm
-                .observer()
-                .span(names::SPAN_FARM_REQUEST, names::CAT_FARM);
+            let mut span = if trace_guard.is_some() {
+                handler_farm
+                    .observer()
+                    .span(names::SPAN_FARM_REQUEST, names::CAT_FARM)
+            } else {
+                SpanGuard::disabled()
+            };
             span.arg("path", req.path.as_str());
             let response = if !lp_farm_proto::version_compatible(req.header(PROTO_HEADER)) {
                 Response::new(

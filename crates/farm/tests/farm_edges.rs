@@ -9,8 +9,9 @@ use lp_farm::{
     Farm, FarmConfig, FarmServer, JobBackend, JobSpec, JobState, ShutdownMode, SubmitError,
     Submitted, JOURNAL_FILE,
 };
+use lp_farm_proto::{FarmClient, SubmitOutcome};
 use lp_obs::json::Value;
-use lp_obs::{names, Observer};
+use lp_obs::{names, Observer, TraceContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -740,6 +741,63 @@ fn streamed_partials_reach_followers_in_process_and_over_http() {
     assert_eq!(farm.job(primary).unwrap().state, JobState::Done);
     // Partials survive completion for late followers.
     assert_eq!(farm.progress(primary, 0).unwrap().len(), 3);
+    farm.shutdown(ShutdownMode::Drain);
+    farm.join();
+    server.stop();
+}
+
+/// A `farm.request` span is recorded only for a request that carries a
+/// trace context: an untraced one used to leave a span in the shared sink
+/// that nothing ever harvested (~440 B per request, forever). A traced
+/// submission still shows its request span in the job's trace.
+#[test]
+fn only_traced_requests_leave_a_request_span() {
+    let backend = Blocking::new();
+    let obs = Observer::enabled();
+    let farm = Farm::start(
+        FarmConfig {
+            workers: 1,
+            ..FarmConfig::default()
+        },
+        backend.clone(),
+        obs.clone(),
+    )
+    .unwrap();
+    let server = FarmServer::start("127.0.0.1:0", farm.clone()).unwrap();
+    let mut client = FarmClient::connect(server.local_addr().to_string());
+
+    let before = obs.trace_events().len();
+    for _ in 0..1_000 {
+        client.healthz().unwrap();
+    }
+    assert_eq!(
+        obs.trace_events().len(),
+        before,
+        "untraced requests kept spans"
+    );
+
+    // Traced: the job runs only after its submission's request span has
+    // closed, so the harvest finds it under the job's trace id.
+    let ctx = TraceContext::new_root();
+    let (status, outcomes) = client.submit(&[spec("traced")], Some(&ctx)).unwrap();
+    assert_eq!(status, 202);
+    let Some(SubmitOutcome::Accepted { id, .. }) = outcomes.first() else {
+        panic!("{outcomes:?}");
+    };
+    assert!(wait_for(Duration::from_secs(5), || {
+        farm.job(*id).map(|r| r.state) == Some(JobState::Running)
+    }));
+    backend.release();
+    assert!(farm.wait_idle(Duration::from_secs(10)), "farm stuck");
+    let doc = client.trace_document(*id).unwrap();
+    let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name").and_then(Value::as_str) == Some(names::SPAN_FARM_REQUEST)),
+        "traced submission lost its request span"
+    );
+
     farm.shutdown(ShutdownMode::Drain);
     farm.join();
     server.stop();

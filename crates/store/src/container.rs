@@ -19,6 +19,10 @@
 //! the file — including in the kind or length fields — is detected before
 //! any payload byte is interpreted.
 
+use std::fs::File;
+use std::io::Read;
+use std::path::Path;
+
 use crate::codec::{self, CodecError};
 use crate::hash::Hash64;
 
@@ -239,6 +243,20 @@ pub fn open(bytes: &[u8], want: ArtifactKind) -> Result<Container, ContainerErro
         payload,
         stored_len,
     })
+}
+
+/// The raw payload length from the header of the container file at `path`
+/// (payload neither read nor verified) — what a directory scan needs.
+/// `None` when the file is unreadable, short, or not a container.
+pub(crate) fn read_raw_len(path: &Path) -> Option<u64> {
+    let mut header = [0u8; HEADER_LEN];
+    File::open(path).ok()?.read_exact(&mut header).ok()?;
+    if header[0..4] != MAGIC || header[4..8] != FORMAT_VERSION.to_le_bytes() {
+        return None;
+    }
+    Some(u64::from_le_bytes(
+        header[12..20].try_into().expect("8 bytes"),
+    ))
 }
 
 #[cfg(test)]

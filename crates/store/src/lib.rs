@@ -15,10 +15,9 @@
 //!   checkpoint payloads (zero pages, repeated records);
 //! * [`container`] — the versioned sealed envelope (magic, version, kind,
 //!   lengths, whole-file checksum trailer);
-//! * [`index`] — the metadata index with deterministic LRU order;
 //! * [`store`] — the [`Store`] API: crash-safe atomic writes, quarantine
-//!   of corrupt artifacts, byte-budget eviction, and hit/miss/corrupt
-//!   counters mirrored into `lp-obs`.
+//!   of corrupt artifacts, byte-budget LRU eviction, and hit/miss/corrupt
+//!   counters mirrored into `lp-obs`. The directory is the only index.
 //!
 //! What this crate deliberately does **not** know: how to encode a pinball
 //! or an analysis result. Callers (`looppoint::persist`) bring their own
@@ -53,13 +52,10 @@
 pub mod codec;
 pub mod container;
 pub mod hash;
-pub mod index;
-pub mod lock;
 pub mod store;
 
 pub use container::{ArtifactKind, Container, ContainerError};
 pub use hash::{checksum64, digest128, Hash64};
-pub use lock::DirLock;
 pub use store::{Store, StoreConfig, StoreKey, StoreKeyBuilder, StoreStats};
 
 #[cfg(test)]

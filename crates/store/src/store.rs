@@ -1,34 +1,41 @@
 //! The [`Store`]: a content-addressed artifact cache on disk.
 //!
-//! Layout of a store directory:
+//! Layout of a store directory — the directory is the store's only index:
 //!
 //! ```text
-//! <dir>/index.lpix                 metadata + LRU order (see index.rs)
-//! <dir>/<hex128>-<kind>.lpa        sealed artifact containers
+//! <dir>/<hex128>-<kind>.lpa           sealed artifact containers
 //! <dir>/<hex128>-<kind>.lpa.corrupt   quarantined failed containers
 //! ```
 //!
-//! Every mutation is crash-safe: containers and the index are written to a
-//! temp file, fsynced, then renamed into place, and the directory itself is
-//! fsynced so the rename is durable. A crash at any point leaves either the
-//! old state or the new state, never a torn file — and even a torn file
-//! would be caught by the container checksum and quarantined on next load.
+//! No metadata lives beside the artifacts: a container's length is its
+//! stored size, its header holds its raw size, and its mtime — set
+//! explicitly on every save and hit — is its LRU stamp, ties broken by
+//! name. `open` scans the directory into a map; a budgeted save and the
+//! totals (`stats`, `len`, `totals_by_kind`) rescan it.
 //!
-//! The handle uses interior mutability (one mutex around the index and
-//! session stats) so pipeline code can share `&Store` freely.
+//! Every write is crash-safe: a container is written to a temp file,
+//! fsynced, renamed into place, and the directory itself is fsynced so the
+//! rename is durable. A crash at any point leaves either the old state or
+//! the new state, never a torn file — and even a torn file would be caught
+//! by the container checksum and quarantined on next load. Processes
+//! sharing a directory need no lock: names are content-addressed, so
+//! racing writers of one key install byte-identical files.
+//!
+//! The handle uses interior mutability (one mutex around the map) so
+//! pipeline code can share `&Store` freely.
 
-use std::fs;
-use std::io;
+use std::collections::BTreeMap;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use lp_obs::{names, Observer};
 
 use crate::container::{self, ArtifactKind};
 use crate::hash::Hash64;
-use crate::index::Index;
-use crate::lock::{DirLock, DEFAULT_TIMEOUT};
 
 /// A 128-bit content-derived store key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,8 +148,7 @@ impl StoreKeyBuilder {
 /// Store tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreConfig {
-    /// On-disk byte budget for artifact containers (the index file is not
-    /// counted; it is a few hundred bytes). `None` = unbounded.
+    /// On-disk byte budget for artifact containers. `None` = unbounded.
     pub max_bytes: Option<u64>,
 }
 
@@ -182,13 +188,54 @@ struct Counters {
     corruptions: AtomicU64,
 }
 
+/// What the store knows about one container on disk.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    kind: ArtifactKind,
+    stored: u64,
+    raw: u64,
+    /// The LRU stamp: the container's mtime.
+    mtime: SystemTime,
+}
+
+impl Entry {
+    fn new(kind: ArtifactKind, stored: u64, raw: u64, mtime: SystemTime) -> Entry {
+        Entry {
+            kind,
+            stored,
+            raw,
+            mtime,
+        }
+    }
+
+    /// Sets `file`'s mtime to now and returns its entry. The stamp is
+    /// explicit, in ns — kernel write times are jiffy-granular, so saves a
+    /// few ms apart could tie — and best effort: failing costs LRU order.
+    fn stamp(file: &File, kind: ArtifactKind, stored: u64, raw: u64) -> Entry {
+        let now = SystemTime::now();
+        let _ = file.set_modified(now);
+        Entry::new(kind, stored, raw, now)
+    }
+}
+
+/// File name → entry, for every live container the store has seen.
+type Entries = BTreeMap<String, Entry>;
+
+/// The kind of a live container's file name, `<32 hex>-<tag>.lpa`;
+/// `None` for quarantined, temp and foreign files.
+fn kind_of(name: &str) -> Option<ArtifactKind> {
+    let (hex, tag) = name.strip_suffix(".lpa")?.split_once('-')?;
+    StoreKey::from_hex(hex).filter(|k| k.hex() == hex)?;
+    ArtifactKind::from_tag(tag)
+}
+
 /// The artifact store handle.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
     obs: Observer,
-    index: Mutex<Index>,
+    entries: Mutex<Entries>,
     counters: Counters,
 }
 
@@ -206,15 +253,14 @@ impl Store {
     ) -> io::Result<Store> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let index = Index::load(&dir);
         let store = Store {
             dir,
             config,
             obs,
-            index: Mutex::new(index),
+            entries: Mutex::new(Entries::new()),
             counters: Counters::default(),
         };
-        store.publish_gauges(&store.index.lock().expect("store index lock"));
+        drop(store.on_disk());
         Ok(store)
     }
 
@@ -228,13 +274,73 @@ impl Store {
         format!("{}-{}.lpa", key.hex(), kind.tag())
     }
 
-    fn publish_gauges(&self, index: &Index) {
-        self.obs
-            .gauge(names::STORE_BYTES_RAW)
-            .set(index.total_raw() as f64);
+    /// Republishes the byte-total gauges from `entries`.
+    fn publish(&self, entries: &Entries) {
+        let (stored, raw) = totals(entries.values());
+        self.obs.gauge(names::STORE_BYTES_RAW).set(raw as f64);
         self.obs
             .gauge(names::STORE_BYTES_COMPRESSED)
-            .set(index.total_stored() as f64);
+            .set(stored as f64);
+    }
+
+    /// Records (`Some`) or forgets (`None`) one container in the map.
+    fn update(&self, name: &str, entry: Option<Entry>) {
+        let mut entries = self.entries.lock().expect("store map lock");
+        match entry {
+            Some(e) => entries.insert(name.to_string(), e),
+            None => entries.remove(name),
+        };
+        self.publish(&entries);
+    }
+
+    /// The map rebuilt from the directory, so it reports what is on disk
+    /// now: one `stat` per container, plus a header read for names the map
+    /// does not know yet. Containers too short for a header are left out
+    /// (`load` quarantines them).
+    fn on_disk(&self) -> MutexGuard<'_, Entries> {
+        let mut entries = self.entries.lock().expect("store map lock");
+        if let Ok(dir) = fs::read_dir(&self.dir) {
+            let mut fresh = Entries::new();
+            for item in dir.flatten() {
+                let name = item.file_name().into_string().unwrap_or_default();
+                let (Some(kind), Ok(meta)) = (kind_of(&name), item.metadata()) else {
+                    continue;
+                };
+                let known = entries.get(&name).map(|e| e.raw);
+                let Some(raw) = known.or_else(|| container::read_raw_len(&item.path())) else {
+                    continue;
+                };
+                let (stored, mtime) = (meta.len(), meta.modified().unwrap_or(UNIX_EPOCH));
+                fresh.insert(name, Entry::new(kind, stored, raw, mtime));
+            }
+            *entries = fresh;
+        }
+        self.publish(&entries);
+        entries
+    }
+
+    /// Removes least-recently-used containers — `(mtime, name)` ascending —
+    /// until `entries` fit `budget`. `keep`, the container just written, is
+    /// never a victim: evicting it would make the store useless whenever
+    /// one artifact alone exceeds the budget.
+    fn evict(&self, entries: &mut Entries, budget: u64, keep: &str) {
+        let mut total = totals(entries.values()).0;
+        let mut by_age: Vec<(SystemTime, String)> = entries
+            .iter()
+            .filter(|(name, _)| *name != keep)
+            .map(|(name, e)| (e.mtime, name.clone()))
+            .collect();
+        by_age.sort();
+        for (_, victim) in by_age {
+            if total <= budget {
+                break;
+            }
+            total -= entries.remove(&victim).map_or(0, |e| e.stored);
+            if fs::remove_file(self.dir.join(&victim)).is_ok() {
+                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                self.obs.counter(names::STORE_EVICT).inc();
+            }
+        }
     }
 
     fn miss(&self) {
@@ -242,58 +348,30 @@ impl Store {
         self.obs.counter(names::STORE_MISS).inc();
     }
 
-    /// Runs `f` on the index under both the in-process mutex **and** the
-    /// cross-process [`DirLock`], with the index refreshed from disk first
-    /// so another process's mutations are merged instead of overwritten —
-    /// the full read-modify-write cycle is atomic across processes sharing
-    /// one store directory. The updated index is saved and gauges
-    /// republished before the lock is released.
-    ///
-    /// # Errors
-    /// Lock acquisition (timeout) or index write failures.
-    fn with_shared_index<R>(&self, f: impl FnOnce(&mut Index) -> R) -> io::Result<R> {
-        let _dirlock = DirLock::acquire(&self.dir, DEFAULT_TIMEOUT)?;
-        let mut index = self.index.lock().expect("store index lock");
-        *index = Index::load(&self.dir);
-        let r = f(&mut index);
-        index.save(&self.dir)?;
-        self.publish_gauges(&index);
-        Ok(r)
-    }
-
     /// Loads and verifies the artifact for `key`/`kind`.
     ///
-    /// Returns the decoded payload on a hit. On a miss returns `None`. On a
-    /// *corrupt* container (bad checksum, framing, or codec) the file is
-    /// quarantined by renaming it to `<name>.corrupt`, the corruption is
-    /// counted and logged, and `None` is returned — the caller recomputes,
-    /// exactly as on a plain miss.
+    /// Returns the decoded payload on a hit, and stamps the container's
+    /// mtime as its last use. On a miss returns `None` without touching
+    /// the disk. On a *corrupt* container (bad checksum, framing, or codec)
+    /// the file is quarantined by renaming it to `<name>.corrupt`, the
+    /// corruption is counted and logged, and `None` is returned — the
+    /// caller recomputes, exactly as on a plain miss.
     pub fn load(&self, key: &StoreKey, kind: ArtifactKind) -> Option<Vec<u8>> {
         let name = Store::file_name(key, kind);
         let path = self.dir.join(&name);
         let mut span = self.obs.span(names::SPAN_STORE_LOAD, names::CAT_STORE);
         span.arg("kind", kind.tag());
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                // Absent file: also drop any stale index entry. Best
-                // effort — a contended lock never blocks serving a miss.
-                let _ = self.with_shared_index(|index| index.remove(&name));
-                self.miss();
-                return None;
-            }
+        let mut bytes = Vec::new();
+        let Ok(file) = File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f))
+        else {
+            self.update(&name, None);
+            self.miss();
+            return None;
         };
         match container::open(&bytes, kind) {
             Ok(c) => {
-                // Best effort: a contended lock never blocks serving the
-                // (already decoded) payload; only LRU bookkeeping is lost.
-                let _ = self.with_shared_index(|index| {
-                    if !index.touch(&name) {
-                        // File exists but predates the index (or the index
-                        // was rebuilt): adopt it.
-                        index.upsert(&name, kind, bytes.len() as u64, c.payload.len() as u64);
-                    }
-                });
+                let (stored, raw) = (bytes.len() as u64, c.payload.len() as u64);
+                self.update(&name, Some(Entry::stamp(&file, kind, stored, raw)));
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 self.obs.counter(names::STORE_HIT).inc();
                 span.arg("bytes", c.payload.len() as u64);
@@ -302,7 +380,7 @@ impl Store {
             Err(e) => {
                 lp_obs::lp_warn!("store: quarantining corrupt artifact {name}: {e}");
                 let _ = fs::rename(&path, self.dir.join(format!("{name}.corrupt")));
-                let _ = self.with_shared_index(|index| index.remove(&name));
+                self.update(&name, None);
                 self.counters.corruptions.fetch_add(1, Ordering::Relaxed);
                 self.obs.counter(names::STORE_CORRUPT).inc();
                 self.miss();
@@ -315,26 +393,24 @@ impl Store {
     /// enforces the byte budget by LRU eviction.
     pub fn save(&self, key: &StoreKey, kind: ArtifactKind, payload: &[u8]) -> io::Result<()> {
         let name = Store::file_name(key, kind);
+        let path = self.dir.join(&name);
         let mut span = self.obs.span(names::SPAN_STORE_SAVE, names::CAT_STORE);
         span.arg("kind", kind.tag());
         span.arg("raw_bytes", payload.len() as u64);
         let sealed = container::seal(kind, payload);
         span.arg("stored_bytes", sealed.len() as u64);
-        // The artifact itself needs no lock: content-addressed name +
-        // atomic rename means concurrent writers of one key race to
-        // install byte-identical files.
-        lp_obs::write_atomic(&self.dir.join(&name), &sealed)?;
-        self.with_shared_index(|index| {
-            index.upsert(&name, kind, sealed.len() as u64, payload.len() as u64);
-            if let Some(budget) = self.config.max_bytes {
-                for victim in index.eviction_plan(budget) {
-                    let _ = fs::remove_file(self.dir.join(&victim));
-                    index.remove(&victim);
-                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.obs.counter(names::STORE_EVICT).inc();
-                }
-            }
-        })
+        // No lock: content-addressed name + atomic rename means concurrent
+        // writers of one key race to install byte-identical files.
+        lp_obs::write_atomic(&path, &sealed)?;
+        let (stored, raw) = (sealed.len() as u64, payload.len() as u64);
+        let entry = Entry::stamp(&File::open(&path)?, kind, stored, raw);
+        self.update(&name, Some(entry));
+        if let Some(budget) = self.config.max_bytes {
+            let mut entries = self.on_disk();
+            self.evict(&mut entries, budget, &name);
+            self.publish(&entries);
+        }
+        Ok(())
     }
 
     /// Whether an artifact file for `key`/`kind` currently exists (no
@@ -343,36 +419,46 @@ impl Store {
         self.dir.join(Store::file_name(key, kind)).exists()
     }
 
-    /// Session counters + live byte totals.
+    /// Session counters + the byte totals of the artifacts on disk.
     pub fn stats(&self) -> StoreStats {
-        let index = self.index.lock().expect("store index lock");
+        let (bytes_stored, bytes_raw) = totals(self.on_disk().values());
         StoreStats {
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             corruptions: self.counters.corruptions.load(Ordering::Relaxed),
-            bytes_raw: index.total_raw(),
-            bytes_stored: index.total_stored(),
+            bytes_raw,
+            bytes_stored,
         }
     }
 
-    /// Per-kind `(kind, stored, raw)` totals for compression-ratio stats.
+    /// Per-kind `(kind, stored, raw)` totals for compression-ratio stats,
+    /// in [`ArtifactKind::ALL`] order.
     pub fn totals_by_kind(&self) -> Vec<(ArtifactKind, u64, u64)> {
-        self.index
-            .lock()
-            .expect("store index lock")
-            .totals_by_kind()
+        let entries = self.on_disk();
+        ArtifactKind::ALL
+            .into_iter()
+            .map(|k| {
+                let (stored, raw) = totals(entries.values().filter(|e| e.kind == k));
+                (k, stored, raw)
+            })
+            .collect()
     }
 
-    /// Number of live artifacts.
+    /// Number of artifacts on disk.
     pub fn len(&self) -> usize {
-        self.index.lock().expect("store index lock").len()
+        self.on_disk().len()
     }
 
     /// Whether the store holds no artifacts.
     pub fn is_empty(&self) -> bool {
-        self.index.lock().expect("store index lock").is_empty()
+        self.len() == 0
     }
+}
+
+/// `(stored, raw)` byte totals.
+fn totals<'a>(entries: impl Iterator<Item = &'a Entry>) -> (u64, u64) {
+    entries.fold((0, 0), |(s, r), e| (s + e.stored, r + e.raw))
 }
 
 #[cfg(test)]
@@ -589,6 +675,115 @@ mod tests {
         fs::remove_file(dir.join(Store::file_name(&key(5), ArtifactKind::Clustering))).unwrap();
         assert!(store.load(&key(5), ArtifactKind::Clustering).is_none());
         assert_eq!(store.len(), 0, "stale entry dropped");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// 100 incompressible bytes: a 136-byte container.
+    fn noise(seed: u8) -> Vec<u8> {
+        let mut x = u64::from(seed) * 7919 + 1;
+        (0..100)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as u8
+            })
+            .collect()
+    }
+
+    fn budgeted(dir: &Path, max_bytes: u64) -> Store {
+        let cfg = StoreConfig {
+            max_bytes: Some(max_bytes),
+        };
+        Store::open_with(dir, cfg, Observer::disabled()).unwrap()
+    }
+
+    #[test]
+    fn eviction_spares_the_newest_even_at_budget_zero() {
+        let (dir, kind) = (tmpdir("budget0"), ArtifactKind::Analysis);
+        let store = budgeted(&dir, 0);
+        for i in 20..23 {
+            store.save(&key(i), kind, &noise(i)).unwrap();
+        }
+        assert_eq!(store.len(), 1);
+        assert!(store.contains(&key(22), kind));
+        assert_eq!(store.stats().evictions, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn totals_by_kind_partition_the_totals() {
+        use ArtifactKind::{Checkpoints, Pinball};
+        let dir = tmpdir("bykind");
+        let store = Store::open(&dir, Observer::disabled()).unwrap();
+        store.save(&key(30), Pinball, &[1; 400]).unwrap();
+        store.save(&key(31), Pinball, &noise(31)).unwrap();
+        store.save(&key(32), Checkpoints, b"ck").unwrap();
+        let (by_kind, s) = (store.totals_by_kind(), store.stats());
+        assert_eq!(by_kind.iter().map(|t| t.1).sum::<u64>(), s.bytes_stored);
+        assert_eq!(by_kind.iter().map(|t| t.2).sum::<u64>(), s.bytes_raw);
+        assert_eq!((by_kind[0].0, by_kind[0].2), (Pinball, 500));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lru_order_survives_reopen() {
+        let (dir, kind) = (tmpdir("lru-reopen"), ArtifactKind::Pinball);
+        {
+            let store = budgeted(&dir, 300);
+            store.save(&key(40), kind, &noise(40)).unwrap();
+            store.save(&key(41), kind, &noise(41)).unwrap();
+            assert!(store.load(&key(40), kind).is_some());
+        }
+        let store = budgeted(&dir, 300);
+        store.save(&key(42), kind, &noise(42)).unwrap();
+        assert!(store.contains(&key(40), kind));
+        assert!(!store.contains(&key(41), kind), "the LRU is evicted");
+        assert!(store.contains(&key(42), kind));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_skips_what_is_not_a_live_container() {
+        let (dir, kind) = (tmpdir("scan"), ArtifactKind::Clustering);
+        let cut = Store::file_name(&key(51), kind);
+        {
+            let store = Store::open(&dir, Observer::disabled()).unwrap();
+            store.save(&key(50), kind, b"kept").unwrap();
+            store.save(&key(51), kind, b"to be truncated").unwrap();
+        }
+        let bytes = fs::read(dir.join(&cut)).unwrap();
+        fs::write(dir.join(&cut), &bytes[..20]).unwrap();
+        let other = Store::file_name(&key(52), kind);
+        for junk in [&format!("{other}.corrupt"), &format!(".{other}.tmp.1.0")] {
+            fs::write(dir.join(junk), b"junk").unwrap();
+        }
+        fs::write(dir.join("zz-clustering.lpa"), b"foreign").unwrap();
+        let store = Store::open(&dir, Observer::disabled()).unwrap();
+        assert_eq!(store.len(), 1, "only the intact container counts");
+        assert!(store.load(&key(51), kind).is_none());
+        assert!(dir.join(format!("{cut}.corrupt")).exists(), "quarantined");
+        assert_eq!(store.stats().corruptions, 1);
+        assert_eq!(store.load(&key(50), kind).as_deref(), Some(&b"kept"[..]));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_miss_creates_and_modifies_nothing() {
+        let (dir, kind) = (tmpdir("miss"), ArtifactKind::Pinball);
+        let store = Store::open(&dir, Observer::disabled()).unwrap();
+        store.save(&key(60), kind, b"present").unwrap();
+        let mtime = |p: &Path| fs::metadata(p).unwrap().modified().unwrap();
+        let listing = || {
+            let mut v: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| (e.as_ref().unwrap().file_name(), mtime(&e.unwrap().path())))
+                .collect();
+            v.sort();
+            (v, mtime(&dir))
+        };
+        let before = listing();
+        assert!(store.load(&key(61), kind).is_none());
+        assert!(store.load(&key(60), ArtifactKind::Analysis).is_none());
+        assert_eq!(listing(), before);
         fs::remove_dir_all(&dir).unwrap();
     }
 }
