@@ -113,6 +113,20 @@ for cmd in "" live serve submit status trace top shutdown farm-load; do
     || { echo "help-smoke: '$cmd --help' failed or printed nothing" >&2; exit 1; }
 done
 
+echo "== one-path (one sampled-simulation path) =="
+# Regions are simulated one way: run_pipeline, or its two halves
+# prepare_region_checkpoints + simulate_prepared (binary-driven is the
+# FROM_RESET warm-up window). Counts, not timings: the deleted second path
+# stays deleted, and lp-bench's library calls no simulate_* but the
+# full-detail reference.
+SECOND_PATH=$( (grep -rEc --include='*.rs' --exclude-dir=target \
+  'simulate_representatives|evaluate_app_mode' crates src tests examples lp-perf || true) \
+  | awk -F: '{ n += $NF } END { print n + 0 }')
+BENCH_SIMS=$(grep -rEoh --include='*.rs' '\bsimulate_[a-z_]+\(' crates/bench/src \
+  | grep -vc '^simulate_whole($' || true)
+[ "$SECOND_PATH" = 0 ] && [ "$BENCH_SIMS" = 0 ] \
+  || { echo "one-path: $SECOND_PATH second-path name(s); $BENCH_SIMS lp-bench simulate_* call(s) besides simulate_whole" >&2; exit 1; }
+
 echo "== bench-smoke (store reuse) =="
 # Quick variant of the store-reuse benchmark: asserts warm==cold bytewise
 # and replay_passes==0 internally; validate the JSON schema here. Writes

@@ -1,9 +1,10 @@
 //! Fig. 10: actual LoopPoint speedups on the NPB-like suite with 8 and 16
 //! cores (class C, passive wait policy).
 
+use looppoint::WARMUP_SLICES;
 use lp_bench::paper;
 use lp_bench::table::{title, x, Table};
-use lp_bench::{evaluate_app_mode, geomean};
+use lp_bench::{evaluate_app, geomean};
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
 use lp_workloads::{npb_workloads, InputClass};
@@ -23,22 +24,22 @@ fn main() {
     let mut p8 = Vec::new();
     let mut p16 = Vec::new();
     for spec in npb_workloads() {
-        let e8 = evaluate_app_mode(
+        let e8 = evaluate_app(
             &spec,
             InputClass::NpbC,
             8,
             WaitPolicy::Passive,
             &SimConfig::gainestown(8),
-            true,
+            WARMUP_SLICES,
         )
         .unwrap();
-        let e16 = evaluate_app_mode(
+        let e16 = evaluate_app(
             &spec,
             InputClass::NpbC,
             16,
             WaitPolicy::Passive,
             &SimConfig::gainestown(16),
-            true,
+            WARMUP_SLICES,
         )
         .unwrap();
         p8.push(e8.speedup.actual_parallel);

@@ -6,7 +6,10 @@
 //!     microarchitecture-portability study (analysis is done once and
 //!     reused, exactly as the paper argues it can be).
 
-use looppoint::{error_pct, extrapolate, simulate_representatives, simulate_whole, SimOptions};
+use looppoint::{
+    error_pct, extrapolate, prepare_region_checkpoints, simulate_prepared, simulate_whole,
+    SimOptions, FROM_RESET,
+};
 use lp_bench::paper;
 use lp_bench::table::{f, title, Table};
 use lp_bench::{analyze_app, evaluate_app, mean, SPEC_THREADS};
@@ -30,6 +33,7 @@ fn main() {
             SPEC_THREADS,
             WaitPolicy::Active,
             &ooo,
+            FROM_RESET,
         )
         .unwrap();
         let ep = evaluate_app(
@@ -38,6 +42,7 @@ fn main() {
             SPEC_THREADS,
             WaitPolicy::Passive,
             &ooo,
+            FROM_RESET,
         )
         .unwrap();
         active_errs.push(ea.runtime_error_pct());
@@ -71,8 +76,9 @@ fn main() {
         // One analysis, reused for the other microarchitecture.
         let (program, nthreads, analysis) =
             analyze_app(&spec, InputClass::Train, SPEC_THREADS, WaitPolicy::Passive).unwrap();
-        let results = simulate_representatives(
-            &analysis,
+        let prepared = prepare_region_checkpoints(&analysis, &program, FROM_RESET).unwrap();
+        let results = simulate_prepared(
+            &prepared,
             &program,
             nthreads,
             &inorder,

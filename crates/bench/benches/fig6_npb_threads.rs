@@ -2,6 +2,7 @@
 //! wait policy, class C inputs) — LoopPoint supports varying the thread
 //! count, re-profiling per team size as §III requires.
 
+use looppoint::FROM_RESET;
 use lp_bench::paper;
 use lp_bench::table::{f, title, Table};
 use lp_bench::{evaluate_app, mean};
@@ -24,6 +25,7 @@ fn main() {
             8,
             WaitPolicy::Passive,
             &SimConfig::gainestown(8),
+            FROM_RESET,
         )
         .unwrap();
         let r16 = evaluate_app(
@@ -32,6 +34,7 @@ fn main() {
             16,
             WaitPolicy::Passive,
             &SimConfig::gainestown(16),
+            FROM_RESET,
         )
         .unwrap();
         e8.push(r8.runtime_error_pct());

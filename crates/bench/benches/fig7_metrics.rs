@@ -3,6 +3,7 @@
 //! difference, (c) L2-MPKI absolute difference — absolute differences for
 //! the MPKI metrics, exactly as the paper presents them.
 
+use looppoint::FROM_RESET;
 use lp_bench::table::{f, title, Table};
 use lp_bench::{evaluate_app, mean, SPEC_THREADS};
 use lp_omp::WaitPolicy;
@@ -39,6 +40,7 @@ fn main() {
             SPEC_THREADS,
             WaitPolicy::Active,
             &cfg,
+            FROM_RESET,
         )
         .unwrap();
         let p = evaluate_app(
@@ -47,11 +49,12 @@ fn main() {
             SPEC_THREADS,
             WaitPolicy::Passive,
             &cfg,
+            FROM_RESET,
         )
         .unwrap();
         let vals = [
-            a.cycles_error_pct(),
-            p.cycles_error_pct(),
+            a.runtime_error_pct(),
+            p.runtime_error_pct(),
             a.branch_mpki_diff(),
             p.branch_mpki_diff(),
             a.l2_mpki_diff(),

@@ -1,9 +1,10 @@
 //! Fig. 8: theoretical and actual speedups (serial and parallel) of
 //! LoopPoint over full detailed simulation, SPEC train, active policy.
 
+use looppoint::WARMUP_SLICES;
 use lp_bench::paper;
 use lp_bench::table::{title, x, Table};
-use lp_bench::{evaluate_app_mode, geomean, SPEC_THREADS};
+use lp_bench::{evaluate_app, geomean, SPEC_THREADS};
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
 use lp_workloads::{spec_workloads, InputClass};
@@ -27,13 +28,13 @@ fn main() {
     let mut as_ = Vec::new();
     let mut ap = Vec::new();
     for spec in spec_workloads() {
-        let e = evaluate_app_mode(
+        let e = evaluate_app(
             &spec,
             InputClass::Train,
             SPEC_THREADS,
             WaitPolicy::Active,
             &cfg,
-            true, // checkpoint-driven regions, as the paper deploys them
+            WARMUP_SLICES, // checkpoint-driven regions, as the paper deploys them
         )
         .unwrap();
         ts.push(e.speedup.theoretical_serial);
@@ -46,7 +47,7 @@ fn main() {
             x(e.speedup.theoretical_parallel),
             x(e.speedup.actual_serial),
             x(e.speedup.actual_parallel),
-            e.results.len().to_string(),
+            e.outcome.results.len().to_string(),
         ]);
     }
     t.row(&[

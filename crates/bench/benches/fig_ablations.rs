@@ -2,8 +2,7 @@
 //! the spin filter, warmup, and projection dimensionality.
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
-    SimOptions,
+    error_pct, extrapolate, run_pipeline, simulate_whole, LoopPointConfig, SimOptions, FROM_RESET,
 };
 use lp_bench::table::{f, title, Table};
 use lp_bench::SPEC_THREADS;
@@ -16,17 +15,16 @@ fn eval_app(app: &str, cfg: &LoopPointConfig, policy: WaitPolicy, warmup: bool) 
     let n = spec.effective_threads(SPEC_THREADS);
     let program = build(&spec, InputClass::Train, SPEC_THREADS, policy);
     let simcfg = SimConfig::gainestown(SPEC_THREADS);
-    let analysis = analyze(&program, n, cfg).unwrap();
     let opts = SimOptions {
         warmup,
         ..SimOptions::parallel()
     };
-    let results = simulate_representatives(&analysis, &program, n, &simcfg, &opts).unwrap();
-    let prediction = extrapolate(&results);
+    let run = run_pipeline(&program, n, cfg, &simcfg, &opts, FROM_RESET, None).unwrap();
+    let prediction = extrapolate(&run.results);
     let full = simulate_whole(&program, n, &simcfg).unwrap();
     (
         error_pct(prediction.total_cycles, full.cycles as f64),
-        analysis.looppoints.len(),
+        run.analysis.looppoints.len(),
     )
 }
 

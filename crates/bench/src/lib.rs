@@ -18,9 +18,8 @@ pub mod paper;
 pub mod table;
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives,
-    simulate_representatives_checkpointed, simulate_whole, speedups, Analysis, LoopPointConfig,
-    LoopPointError, Prediction, RegionResult, SimOptions, SpeedupReport,
+    analyze, error_pct, extrapolate, run_pipeline, simulate_whole, speedups, Analysis, JobOutcome,
+    LoopPointConfig, LoopPointError, Prediction, SimOptions, SpeedupReport,
 };
 use lp_obs::json::Value;
 use lp_omp::WaitPolicy;
@@ -37,8 +36,8 @@ use std::sync::Arc;
 pub struct BenchError {
     /// The workload that failed.
     pub workload: String,
-    /// The pipeline phase that failed (`"analysis"`, `"region
-    /// simulation"`, `"full simulation"`).
+    /// The pipeline phase that failed (`"analysis"`, `"sampled
+    /// pipeline"`, `"full simulation"`).
     pub phase: &'static str,
     /// The underlying pipeline error.
     pub source: LoopPointError,
@@ -140,10 +139,8 @@ pub struct AppEval {
     pub policy: WaitPolicy,
     /// Team size actually used.
     pub nthreads: usize,
-    /// The analysis (slices, clustering, looppoints).
-    pub analysis: Analysis,
-    /// Per-region simulation results.
-    pub results: Vec<RegionResult>,
+    /// The sampled pipeline's analysis and per-region results.
+    pub outcome: JobOutcome,
     /// Extrapolated whole-program metrics.
     pub prediction: Prediction,
     /// Full-application reference simulation.
@@ -153,7 +150,7 @@ pub struct AppEval {
 }
 
 impl AppEval {
-    /// Absolute runtime-prediction error in percent (Fig. 5 bars).
+    /// Absolute runtime-prediction error in percent (Fig. 5 and 7a bars).
     pub fn runtime_error_pct(&self) -> f64 {
         error_pct(self.prediction.total_cycles, self.full.cycles as f64)
     }
@@ -168,11 +165,6 @@ impl AppEval {
         (self.prediction.l2_mpki - self.full.l2_mpki()).abs()
     }
 
-    /// Absolute error in predicted cycle count, percent (Fig. 7a bars).
-    pub fn cycles_error_pct(&self) -> f64 {
-        self.runtime_error_pct()
-    }
-
     /// The accuracy-attribution report for this evaluation: per-cluster
     /// signed errors (summing exactly to the end-to-end error) split into
     /// representativeness / warmup / extrapolation causes, plus a
@@ -182,8 +174,8 @@ impl AppEval {
         looppoint::diagnose(
             &self.name,
             self.nthreads,
-            &self.analysis,
-            &self.results,
+            &self.outcome.analysis,
+            &self.outcome.results,
             Some(&self.full),
             obs,
         )
@@ -195,8 +187,11 @@ pub fn bench_config() -> LoopPointConfig {
     LoopPointConfig::with_slice_base(BENCH_SLICE_BASE)
 }
 
-/// Runs the complete LoopPoint pipeline for one workload: analysis, region
-/// simulation (in parallel), extrapolation, full-run reference, speedups.
+/// Runs the product's sampled pipeline for one workload —
+/// [`run_pipeline`] with the given checkpoint warm-up window
+/// ([`looppoint::FROM_RESET`] for the accuracy figures,
+/// [`looppoint::WARMUP_SLICES`] for the actual-speedup figures) — plus
+/// the full-run reference, extrapolation and speedups.
 ///
 /// # Errors
 /// [`BenchError`] naming the workload and the failing phase.
@@ -206,50 +201,33 @@ pub fn evaluate_app(
     requested_threads: usize,
     policy: WaitPolicy,
     simcfg: &SimConfig,
-) -> Result<AppEval, BenchError> {
-    evaluate_app_mode(spec, input, requested_threads, policy, simcfg, false)
-}
-
-/// Like [`evaluate_app`], selecting checkpoint-driven region simulation
-/// (`checkpointed = true`, two warmup slices per region) — the mode the
-/// actual-speedup figures (Fig. 8/10) use.
-///
-/// # Errors
-/// [`BenchError`] naming the workload and the failing phase.
-pub fn evaluate_app_mode(
-    spec: &WorkloadSpec,
-    input: InputClass,
-    requested_threads: usize,
-    policy: WaitPolicy,
-    simcfg: &SimConfig,
-    checkpointed: bool,
+    warmup_slices: usize,
 ) -> Result<AppEval, BenchError> {
     let nthreads = spec.effective_threads(requested_threads);
     let program = build(spec, input, requested_threads, policy);
-    let analysis = analyze(&program, nthreads, &bench_config())
-        .map_err(BenchError::new(spec.name, "analysis"))?;
     // Regions run back-to-back: each region's wall time is then measured
     // without host contention, so the *parallel* speedup (full wall over
     // the largest single region, §V-B's "assuming sufficient parallel
     // resources") is computed from clean per-region times.
-    let serial = SimOptions::default();
-    let results = if checkpointed {
-        simulate_representatives_checkpointed(&analysis, &program, nthreads, simcfg, 2, &serial)
-            .map_err(BenchError::new(spec.name, "region simulation"))?
-    } else {
-        simulate_representatives(&analysis, &program, nthreads, simcfg, &serial)
-            .map_err(BenchError::new(spec.name, "region simulation"))?
-    };
-    let prediction = extrapolate(&results);
+    let outcome = run_pipeline(
+        &program,
+        nthreads,
+        &bench_config(),
+        simcfg,
+        &SimOptions::default(),
+        warmup_slices,
+        None,
+    )
+    .map_err(BenchError::new(spec.name, "sampled pipeline"))?;
+    let prediction = extrapolate(&outcome.results);
     let full = simulate_whole(&program, nthreads, simcfg)
         .map_err(BenchError::new(spec.name, "full simulation"))?;
-    let speedup = speedups(&analysis, &results, &full);
+    let speedup = speedups(&outcome.analysis, &outcome.results, &full);
     Ok(AppEval {
         name: spec.name.to_string(),
         policy,
         nthreads,
-        analysis,
-        results,
+        outcome,
         prediction,
         full,
         speedup,

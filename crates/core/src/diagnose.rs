@@ -91,24 +91,32 @@ pub(crate) fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, simulate_representatives, simulate_whole, LoopPointConfig, SimOptions};
+    use crate::{
+        run_pipeline, simulate_whole, JobOutcome, LoopPointConfig, SimOptions, FROM_RESET,
+    };
     use lp_omp::WaitPolicy;
     use lp_uarch::SimConfig;
+    use std::sync::Arc;
+
+    /// `phased_program(2, …, rounds)` through the pipeline from reset,
+    /// recording into `obs`.
+    fn sampled(rounds: u64, obs: &lp_obs::Observer) -> (Arc<lp_isa::Program>, JobOutcome) {
+        let program = crate::testutil::phased_program(2, WaitPolicy::Passive, rounds);
+        let mut cfg = LoopPointConfig::with_slice_base(2_000);
+        cfg.obs = obs.clone();
+        let (simcfg, opts) = (SimConfig::gainestown(2), SimOptions::default());
+        let run = run_pipeline(&program, 2, &cfg, &simcfg, &opts, FROM_RESET, None).unwrap();
+        (program, run)
+    }
 
     #[test]
     fn attributed_errors_sum_to_end_to_end_error() {
-        let program = crate::testutil::phased_program(2, WaitPolicy::Passive, 8);
         let obs = lp_obs::Observer::enabled();
-        let mut cfg = LoopPointConfig::with_slice_base(2_000);
-        cfg.obs = obs.clone();
-        let analysis = analyze(&program, 2, &cfg).unwrap();
-        let simcfg = SimConfig::gainestown(2);
-        let results =
-            simulate_representatives(&analysis, &program, 2, &simcfg, &SimOptions::default())
-                .unwrap();
-        let full = simulate_whole(&program, 2, &simcfg).unwrap();
+        let (program, run) = sampled(8, &obs);
+        let full = simulate_whole(&program, 2, &SimConfig::gainestown(2)).unwrap();
+        let analysis = &run.analysis;
 
-        let report = diagnose("phased", 2, &analysis, &results, Some(&full), &obs);
+        let report = diagnose("phased", 2, analysis, &run.results, Some(&full), &obs);
         assert_eq!(report.k as usize, analysis.looppoints.len());
         let sum: f64 = report.clusters.iter().map(|c| c.error_cycles).sum();
         assert!(
@@ -129,17 +137,11 @@ mod tests {
 
     #[test]
     fn no_reference_run_yields_zero_error_but_full_structure() {
-        let program = crate::testutil::phased_program(2, WaitPolicy::Passive, 6);
         let obs = lp_obs::Observer::enabled();
-        let mut cfg = LoopPointConfig::with_slice_base(2_000);
-        cfg.obs = obs.clone();
-        let analysis = analyze(&program, 2, &cfg).unwrap();
-        let simcfg = SimConfig::gainestown(2);
-        let results =
-            simulate_representatives(&analysis, &program, 2, &simcfg, &SimOptions::default())
-                .unwrap();
+        let (_, run) = sampled(6, &obs);
+        let analysis = &run.analysis;
 
-        let report = diagnose("phased", 2, &analysis, &results, None, &obs);
+        let report = diagnose("phased", 2, analysis, &run.results, None, &obs);
         assert_eq!(report.error_cycles, 0.0);
         assert_eq!(report.error_pct, 0.0);
         assert_eq!(report.clusters.len(), analysis.looppoints.len());

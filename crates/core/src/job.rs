@@ -141,8 +141,12 @@ pub fn run_job(
 /// region simulation honoring `cfg.cancel`. The observer's phase label
 /// moves to the `simulate-regions` stage once the analysis is in hand.
 ///
-/// `warmup_slices` is the checkpoint warmup window (the paper's default
-/// deployment uses 2).
+/// `warmup_slices` is the checkpoint warmup window: [`WARMUP_SLICES`] is
+/// the paper's deployment, [`FROM_RESET`] the binary-driven window that
+/// reaches program start (no checkpoint replay at all).
+///
+/// [`WARMUP_SLICES`]: crate::WARMUP_SLICES
+/// [`FROM_RESET`]: crate::FROM_RESET
 ///
 /// # Errors
 /// Any stage failure, or [`LoopPointError::Cancelled`] when the config's
@@ -216,7 +220,7 @@ mod tests {
             &cfg,
             &simcfg,
             &SimOptions::default(),
-            2,
+            crate::WARMUP_SLICES,
             None,
         )
         .unwrap();
@@ -254,7 +258,7 @@ mod tests {
             &cfg,
             &simcfg,
             &SimOptions::default(),
-            2,
+            crate::WARMUP_SLICES,
             None,
         )
         .unwrap_err();

@@ -23,10 +23,13 @@
 //!
 //! Entry points:
 //! * [`analyze`] — the one-time, up-front application analysis (§III-A..E);
-//! * [`simulate_representatives`] — binary-driven unconstrained simulation
-//!   of every looppoint with fast-forward warmup (§III-F, §V-A), and
-//!   [`simulate_representatives_checkpointed`] — the same from region
-//!   checkpoints;
+//! * [`run_pipeline`] — analyze → region checkpoints → simulate every
+//!   looppoint with fast-forward warmup (§III-F, §III-J); `warmup_slices`
+//!   is [`WARMUP_SLICES`] for the paper's checkpoint deployment or
+//!   [`FROM_RESET`] for binary-driven warmup (§V-A). [`run_job`] condenses
+//!   it for the farm; [`prepare_region_checkpoints`] +
+//!   [`simulate_prepared`] are its two halves, for one analysis simulated
+//!   on several machines;
 //! * [`extrapolate`] — Eq. 1/2 runtime and metric reconstruction (§III-G);
 //! * [`diagnose`] — per-cluster accuracy attribution of the extrapolation
 //!   error (representativeness / warmup / multiplier residual);
@@ -46,7 +49,7 @@
 //! end-to-end: record, replay, slice, cluster, simulate, extrapolate.
 //!
 //! ```
-//! use looppoint::{analyze, extrapolate, simulate_representatives, LoopPointConfig, SimOptions};
+//! use looppoint::{extrapolate, run_pipeline, LoopPointConfig, SimOptions, FROM_RESET};
 //! use lp_isa::{AluOp, ProgramBuilder, Reg};
 //! use lp_omp::{OmpRuntime, WaitPolicy};
 //! use lp_uarch::SimConfig;
@@ -73,12 +76,14 @@
 //! let program = Arc::new(pb.finish());
 //!
 //! // Analyze (tiny slices so even this miniature program yields several),
-//! // simulate the representatives, extrapolate whole-program runtime.
-//! let analysis = analyze(&program, nthreads, &LoopPointConfig::with_slice_base(500))?;
-//! assert!(!analysis.looppoints.is_empty());
-//! let results = simulate_representatives(
-//!     &analysis, &program, nthreads, &SimConfig::gainestown(nthreads), &SimOptions::default())?;
-//! let prediction = extrapolate(&results);
+//! // simulate the representatives from reset, extrapolate whole-program
+//! // runtime.
+//! let cfg = LoopPointConfig::with_slice_base(500);
+//! let simcfg = SimConfig::gainestown(nthreads);
+//! let run = run_pipeline(
+//!     &program, nthreads, &cfg, &simcfg, &SimOptions::default(), FROM_RESET, None)?;
+//! assert!(!run.analysis.looppoints.is_empty());
+//! let prediction = extrapolate(&run.results);
 //! assert!(prediction.total_cycles > 0.0);
 //! # Ok(())
 //! # }
@@ -126,8 +131,7 @@ pub use persist::{
 };
 pub use pipeline::{analyze, Analysis, LoopPointRegion};
 pub use simulate::{
-    prepare_region_checkpoints, simulate_prepared, simulate_representatives,
-    simulate_representatives_checkpointed, simulate_whole, PreparedCheckpoints, PreparedRegion,
-    RegionResult, SimOptions,
+    prepare_region_checkpoints, simulate_prepared, simulate_whole, PreparedCheckpoints,
+    PreparedRegion, RegionResult, SimOptions, FROM_RESET, WARMUP_SLICES,
 };
 pub use speedup::{human_duration, speedups, SimTimeModel, SpeedupReport};

@@ -2,26 +2,21 @@
 //!
 //! Region simulations are embarrassingly parallel, but spawning one
 //! unbounded OS thread per region oversubscribes the host as soon as the
-//! clustering picks tens of looppoints. This pool caps concurrency at
-//! [`std::thread::available_parallelism`] (or an explicit size), lets
-//! workers steal items off a shared atomic cursor, and aborts outstanding
-//! work on the first error via a shared cancel flag — failed pipelines
-//! stop burning CPU instead of running every remaining region to
-//! completion.
+//! clustering picks tens of looppoints. This pool caps concurrency at a
+//! given width (`SimOptions::pool_size`), lets workers steal items off a
+//! shared atomic cursor, and aborts outstanding work on the first error
+//! via a shared cancel flag — failed pipelines stop burning CPU instead of
+//! running every remaining region to completion.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Effective pool width: `requested` if given, otherwise the host's
-/// available parallelism; always clamped to `[1, items]`.
-pub(crate) fn effective_pool_size(requested: Option<usize>, items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    requested.unwrap_or(hw).clamp(1, items.max(1))
+/// Effective pool width: `requested`, clamped to `[1, items]`.
+pub(crate) fn effective_pool_size(requested: usize, items: usize) -> usize {
+    requested.clamp(1, items.max(1))
 }
 
-/// Runs `f` over `items` on at most `pool_size` worker threads.
+/// Runs `f` over `items` on [`effective_pool_size`] worker threads.
 ///
 /// Items are claimed work-stealing style off a shared atomic cursor, so an
 /// expensive item never serializes the queue behind it. The first `Err`
@@ -42,7 +37,7 @@ where
 {
     let obs = lp_obs::global();
     let occupancy = obs.histogram("region.pool.occupancy");
-    let workers = pool_size.clamp(1, items.len().max(1));
+    let workers = effective_pool_size(pool_size, items.len());
     obs.gauge("region.pool.size").set(workers as f64);
 
     let cursor = AtomicUsize::new(0);
@@ -146,11 +141,17 @@ mod tests {
 
     #[test]
     fn effective_size_clamps() {
-        assert_eq!(effective_pool_size(Some(99), 3), 3);
-        assert_eq!(effective_pool_size(Some(2), 10), 2);
-        assert_eq!(effective_pool_size(Some(0), 10), 1);
-        assert!(effective_pool_size(None, 1000) >= 1);
-        assert_eq!(effective_pool_size(None, 0), 1);
+        assert_eq!(effective_pool_size(99, 3), 3);
+        assert_eq!(effective_pool_size(2, 10), 2);
+        assert_eq!(effective_pool_size(0, 10), 1);
+        assert_eq!(effective_pool_size(0, 0), 1);
+    }
+
+    #[test]
+    fn zero_width_still_runs_every_item() {
+        let items: Vec<u64> = (0..5).collect();
+        let out = run_cancelable(&items, 0, |&x| Ok::<_, ()>(x + 1)).unwrap();
+        assert_eq!(out, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! Unconstrained, binary-driven simulation of looppoint regions.
+//! Unconstrained simulation of looppoint regions: one path, two halves.
+//! [`prepare_region_checkpoints`] picks where each region's warm-up starts
+//! (a checkpoint `warmup_slices` slices back, or program start) and
+//! [`simulate_prepared`] warms up and simulates from there. Binary-driven
+//! simulation is the [`FROM_RESET`] window of the same path.
 
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
@@ -9,40 +13,49 @@ use lp_sim::{SimError, SimStats, Simulator};
 use lp_uarch::SimConfig;
 use std::sync::Arc;
 
+/// The paper's checkpoint warm-up window, in slices (§III-F): each region
+/// restores a checkpoint taken two slices before its start marker.
+pub const WARMUP_SLICES: usize = 2;
+
+/// The warm-up window that reaches program start — binary-driven
+/// simulation as a value of `warmup_slices`. Every region's warm marker
+/// saturates to slice 0, whose start is always `None` (program start), so
+/// [`prepare_region_checkpoints`] requests no marker, replays nothing
+/// (`replay_passes == 0`) and gives every region `checkpoint: None`: each
+/// region fast-forwards from reset to its start marker.
+pub const FROM_RESET: usize = usize::MAX;
+
 /// Knobs shared by every region-simulation entry point.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
     /// Hard step budget for any single fast-forward or detailed run
     /// (default: [`DEFAULT_MAX_STEPS`]).
     pub max_steps: u64,
-    /// Simulate regions concurrently on a bounded worker pool.
-    pub parallel: bool,
     /// Fast-forward warming of caches and predictors (`false` is the
     /// cold-start ablation).
     pub warmup: bool,
-    /// Worker-pool width when `parallel`; `None` uses
-    /// [`std::thread::available_parallelism`]. Always clamped to the
-    /// region count.
-    pub pool_size: Option<usize>,
+    /// Worker-pool width, clamped to the region count; `<= 1` (the
+    /// default) runs regions inline, one after another.
+    pub pool_size: usize,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             max_steps: DEFAULT_MAX_STEPS,
-            parallel: false,
             warmup: true,
-            pool_size: None,
+            pool_size: 1,
         }
     }
 }
 
 impl SimOptions {
-    /// Options running regions on the bounded worker pool.
+    /// Options running regions on a pool as wide as
+    /// [`std::thread::available_parallelism`].
     #[must_use]
     pub fn parallel() -> Self {
         SimOptions {
-            parallel: true,
+            pool_size: std::thread::available_parallelism().map_or(1, usize::from),
             ..Default::default()
         }
     }
@@ -80,44 +93,10 @@ pub struct RegionResult {
     pub stats: SimStats,
 }
 
-/// Simulates every looppoint unconstrained on `simcfg`, **from reset**:
-/// each region fast-forwards (warming caches and predictors) from program
-/// start to its start marker, then runs detailed to its end marker
-/// (§III-F's binary-driven warmup) — prepared regions with no checkpoints.
-///
-/// With `opts.parallel`, regions run concurrently on a bounded worker
-/// pool — the deployment §III-J describes (checkpoints simulated in
-/// parallel given enough resources); wall-clock times then feed the
-/// *actual parallel* speedup numbers.
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    opts: &SimOptions,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let regions = analysis
-        .looppoints
-        .iter()
-        .map(|region| PreparedRegion {
-            region: region.clone(),
-            checkpoint: None,
-        })
-        .collect();
-    let prepared = PreparedCheckpoints {
-        regions,
-        replay_passes: 0,
-    };
-    simulate_prepared(&prepared, program, nthreads, simcfg, opts)
-}
-
-/// Builds the per-region checkpoints for
-/// [`simulate_representatives_checkpointed`] in a **single pinball
-/// replay**, regardless of region count.
+/// Builds the per-region checkpoints, taken `warmup_slices` slices before
+/// each region's start marker, in a **single pinball replay** regardless
+/// of region count ([`WARMUP_SLICES`] is the paper's deployment,
+/// [`FROM_RESET`] replays nothing).
 ///
 /// Regions are sorted by warmup-marker position into a multi-marker agenda
 /// and batched through [`lp_pinball::Pinball::checkpoints_at`]; each
@@ -197,38 +176,12 @@ pub fn prepare_region_checkpoints(
     })
 }
 
-/// Simulates every looppoint **checkpoint-driven**: each region restores a
-/// pinball checkpoint taken `warmup_slices` slices before its start marker,
-/// fast-forwards (warming caches and predictors) through that short warmup
-/// window, and then runs detailed to the end marker.
-///
-/// This is the deployment the paper's title describes: regions ship as
-/// checkpoints, so no simulation time is spent re-executing the program
-/// prefix — the property behind the large *actual* speedups of §V-B.
-/// Checkpoint construction is a **single** replay of the analysis pinball
-/// (see [`prepare_region_checkpoints`]) and a one-time, shareable cost
-/// (like pinball generation itself); it is not charged to the per-region
-/// simulation time.
-///
-/// # Errors
-/// Checkpoint construction failures, then the first region failure;
-/// outstanding parallel work is cancelled.
-pub fn simulate_representatives_checkpointed(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    warmup_slices: usize,
-    opts: &SimOptions,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let prepared = prepare_region_checkpoints(analysis, program, warmup_slices)?;
-    simulate_prepared(&prepared, program, nthreads, simcfg, opts)
-}
-
-/// Simulates already-prepared regions, serially or on the bounded pool
-/// (see [`SimOptions`]) — the second half of
-/// [`simulate_representatives_checkpointed`], split out so checkpoint
-/// construction and simulation can be timed and cached separately.
+/// Simulates already-prepared regions, inline or on the bounded pool (see
+/// [`SimOptions::pool_size`]): each region restores its checkpoint (or
+/// starts from reset), fast-forwards through its warm-up window, and runs
+/// detailed to its end marker. Split from [`prepare_region_checkpoints`]
+/// so checkpoint construction and simulation can be timed and cached
+/// separately, and one preparation can feed several machines.
 ///
 /// # Errors
 /// The first region failure is returned; outstanding parallel work is
@@ -272,11 +225,10 @@ pub(crate) fn simulate_prepared_with_cancel(
             stats,
         })
     };
-    if !opts.parallel {
+    if opts.pool_size <= 1 {
         return prepared.regions.iter().map(run_one).collect();
     }
-    let workers = pool::effective_pool_size(opts.pool_size, prepared.regions.len());
-    pool::run_cancelable(&prepared.regions, workers, run_one)
+    pool::run_cancelable(&prepared.regions, opts.pool_size, run_one)
 }
 
 /// Simulates one region: restore its checkpoint (or start from reset when

@@ -15,7 +15,10 @@ fn dump_regions() {
     let n = spec.effective_threads(4);
     let p = build(&spec, InputClass::Train, 4, WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(n);
-    let analysis = analyze(&p, n, &LoopPointConfig::with_slice_base(8000)).unwrap();
+    let lp_cfg = LoopPointConfig::with_slice_base(8000);
+    let opts = SimOptions::default();
+    let run = run_pipeline(&p, n, &lp_cfg, &cfg, &opts, FROM_RESET, None).unwrap();
+    let (analysis, results) = (&run.analysis, &run.results);
     println!(
         "slices={} k={}",
         analysis.profile.slices.len(),
@@ -27,9 +30,8 @@ fn dump_regions() {
             s.index, s.filtered_insts, s.total_insts, analysis.clustering.assignments[s.index]
         );
     }
-    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
     let mut pred_cycles = 0.0;
-    for r in &results {
+    for r in results {
         let ipc = r.stats.instructions as f64 / r.stats.cycles.max(1) as f64;
         println!(
             "rep slice={:3} mult={:7.3} insts={:7} cycles={:8} ipc={:.2} contrib={:.0}",

@@ -3,8 +3,8 @@
 //! workload suite.
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, speedups,
-    LoopPointConfig, SimOptions,
+    analyze, error_pct, extrapolate, run_pipeline, simulate_whole, speedups, JobOutcome,
+    LoopPointConfig, SimOptions, FROM_RESET, WARMUP_SLICES,
 };
 use lp_isa::{AluOp, ProgramBuilder, Reg};
 use lp_omp::WaitPolicy;
@@ -24,14 +24,27 @@ fn small_cfg() -> LoopPointConfig {
     LoopPointConfig::with_slice_base(8_000)
 }
 
+/// The sampled pipeline on one program, regions simulated from reset
+/// (binary-driven warmup) unless a checkpoint window is given.
+fn sampled(
+    p: &Arc<lp_isa::Program>,
+    n: usize,
+    simcfg: &SimConfig,
+    opts: &SimOptions,
+    warmup_slices: usize,
+) -> JobOutcome {
+    run_pipeline(p, n, &small_cfg(), simcfg, opts, warmup_slices, None).unwrap()
+}
+
+fn from_reset(p: &Arc<lp_isa::Program>, n: usize, simcfg: &SimConfig) -> JobOutcome {
+    sampled(p, n, simcfg, &SimOptions::default(), FROM_RESET)
+}
+
 /// Runs the full pipeline and returns (prediction error %, analysis size
 /// facts) for one workload/policy.
 fn end_to_end(name: &str, policy: WaitPolicy, simcfg: &SimConfig) -> f64 {
     let (p, n) = workload(name, policy);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results =
-        simulate_representatives(&analysis, &p, n, simcfg, &SimOptions::default()).unwrap();
-    let prediction = extrapolate(&results);
+    let prediction = extrapolate(&from_reset(&p, n, simcfg).results);
     let full = simulate_whole(&p, n, simcfg).unwrap();
     error_pct(prediction.total_cycles, full.cycles as f64)
 }
@@ -89,13 +102,11 @@ fn runtime_prediction_is_accurate_active() {
 
 #[test]
 fn looppoints_are_portable_across_microarchitectures() {
-    // Fig. 5b: the same analysis (markers chosen once) predicts an
-    // *in-order* machine too — no re-analysis.
+    // Fig. 5b: the analysis takes no microarchitectural input, so the
+    // markers it chooses predict an *in-order* machine too.
     let (p, n) = workload("603.bwaves_s.1", WaitPolicy::Passive);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
     let cfg = SimConfig::gainestown_inorder(NTHREADS);
-    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
-    let prediction = extrapolate(&results);
+    let prediction = extrapolate(&from_reset(&p, n, &cfg).results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
     assert!(err < 8.0, "in-order prediction error {err:.2}%");
@@ -105,9 +116,7 @@ fn looppoints_are_portable_across_microarchitectures() {
 fn metric_extrapolation_tracks_full_run() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
-    let prediction = extrapolate(&results);
+    let prediction = extrapolate(&from_reset(&p, n, &cfg).results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
 
     // Absolute-difference comparisons, as the paper presents Fig. 7b/7c.
@@ -130,10 +139,9 @@ fn metric_extrapolation_tracks_full_run() {
 fn speedup_report_shape() {
     let (p, n) = workload("649.fotonik3d_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
+    let run = from_reset(&p, n, &cfg);
     let full = simulate_whole(&p, n, &cfg).unwrap();
-    let sp = speedups(&analysis, &results, &full);
+    let sp = speedups(&run.analysis, &run.results, &full);
 
     assert!(
         sp.theoretical_serial > 1.5,
@@ -152,10 +160,8 @@ fn speedup_report_shape() {
 fn parallel_and_serial_region_simulation_agree() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let serial = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
-    let parallel =
-        simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::parallel()).unwrap();
+    let serial = from_reset(&p, n, &cfg).results;
+    let parallel = sampled(&p, n, &cfg, &SimOptions::parallel(), FROM_RESET).results;
     assert_eq!(serial.len(), parallel.len());
     for (s, par) in serial.iter().zip(&parallel) {
         assert_eq!(
@@ -172,9 +178,7 @@ fn single_threaded_application_works() {
     let (p, n) = workload("657.xz_s.1", WaitPolicy::Passive);
     assert_eq!(n, 1);
     let cfg = SimConfig::gainestown(1);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
-    let prediction = extrapolate(&results);
+    let prediction = extrapolate(&from_reset(&p, n, &cfg).results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
     assert!(err < 8.0, "single-threaded error {err:.2}%");
@@ -187,9 +191,7 @@ fn heterogeneous_application_works() {
     let (p, n) = workload("657.xz_s.2", WaitPolicy::Passive);
     assert_eq!(n, 4);
     let cfg = SimConfig::gainestown(4);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
-    let prediction = extrapolate(&results);
+    let prediction = extrapolate(&from_reset(&p, n, &cfg).results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
     assert!(err < 15.0, "heterogeneous error {err:.2}%");
@@ -216,17 +218,8 @@ fn checkpoint_driven_simulation_matches_binary_driven() {
     // runtime to within warmup noise, while doing far less warmup work.
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
-    let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let binary = simulate_representatives(&analysis, &p, n, &cfg, &SimOptions::default()).unwrap();
-    let ckpt = looppoint::simulate_representatives_checkpointed(
-        &analysis,
-        &p,
-        n,
-        &cfg,
-        2,
-        &SimOptions::default(),
-    )
-    .unwrap();
+    let binary = from_reset(&p, n, &cfg).results;
+    let ckpt = sampled(&p, n, &cfg, &SimOptions::default(), WARMUP_SLICES).results;
 
     let pred_b = extrapolate(&binary).total_cycles;
     let pred_c = extrapolate(&ckpt).total_cycles;

@@ -6,8 +6,8 @@
 mod testutil;
 
 use looppoint::{
-    analyze, analyze_live, simulate_prepared, simulate_representatives, simulate_whole, LiveConfig,
-    LoopPointConfig, PreparedCheckpoints, PreparedRegion, SimOptions,
+    analyze, analyze_live, prepare_region_checkpoints, run_pipeline, simulate_prepared,
+    simulate_whole, LiveConfig, LoopPointConfig, SimOptions, FROM_RESET,
 };
 use lp_omp::WaitPolicy;
 use lp_sim::{Mode, SimStats, Simulator, StopCond};
@@ -25,24 +25,23 @@ fn outcome(s: &SimStats) -> impl PartialEq + std::fmt::Debug + '_ {
 }
 
 #[test]
-fn written_out_reference_equals_run_region_equals_simulate_representatives() {
+fn written_out_reference_equals_run_region_equals_run_pipeline_from_reset() {
     for program in [
         phased_program(NTHREADS, WaitPolicy::Passive, 4),
         contended_program(NTHREADS),
     ] {
         let simcfg = SimConfig::gainestown(NTHREADS);
-        let analysis = analyze(&program, NTHREADS, &LoopPointConfig::with_slice_base(500)).unwrap();
-        let results = simulate_representatives(
-            &analysis,
-            &program,
-            NTHREADS,
-            &simcfg,
-            &SimOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(results.len(), analysis.looppoints.len());
+        let cfg = LoopPointConfig::with_slice_base(500);
+        let opts = SimOptions::default();
+        let run = run_pipeline(&program, NTHREADS, &cfg, &simcfg, &opts, FROM_RESET, None).unwrap();
+        let analysis = &run.analysis;
+        assert_eq!(run.results.len(), analysis.looppoints.len());
+        // The window reaches program start: no checkpoint, no replay.
+        let prepared = prepare_region_checkpoints(analysis, &program, FROM_RESET).unwrap();
+        assert_eq!(prepared.replay_passes, 0, "FROM_RESET replays nothing");
+        assert!(prepared.regions.iter().all(|p| p.checkpoint.is_none()));
         let mut compared = 0;
-        for (region, result) in analysis.looppoints.iter().zip(&results) {
+        for (region, result) in analysis.looppoints.iter().zip(&run.results) {
             let via_method = Simulator::new(program.clone(), NTHREADS, simcfg.clone())
                 .run_region(region.start, region.end, BUDGET)
                 .unwrap();
@@ -73,36 +72,43 @@ fn written_out_reference_equals_run_region_equals_simulate_representatives() {
     }
 }
 
+/// `FROM_RESET` is one value of a saturating window: any window reaching
+/// back past the first slice prepares the same checkpoint-free regions,
+/// and they simulate alike inline and on the pool.
 #[test]
-fn from_reset_is_prepared_regions_without_checkpoints() {
+fn any_window_reaching_slice_zero_is_from_reset() {
     let program = phased_program(NTHREADS, WaitPolicy::Passive, 4);
     let simcfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&program, NTHREADS, &LoopPointConfig::with_slice_base(500)).unwrap();
     assert!(analysis.looppoints.len() >= 2);
-    let regions = analysis.looppoints.iter().map(|region| PreparedRegion {
-        region: region.clone(),
-        checkpoint: None,
-    });
-    let prepared = PreparedCheckpoints {
-        regions: regions.collect(),
-        replay_passes: 0,
-    };
-    let pooled = SimOptions {
-        pool_size: Some(3),
-        ..SimOptions::parallel()
-    };
-    for opts in [SimOptions::default(), pooled] {
-        let a = simulate_representatives(&analysis, &program, NTHREADS, &simcfg, &opts).unwrap();
-        let b = simulate_prepared(&prepared, &program, NTHREADS, &simcfg, &opts).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (a, b) in a.iter().zip(&b) {
+    let widest = analysis.looppoints.iter().map(|r| r.slice_index).max();
+    let from_reset = prepare_region_checkpoints(&analysis, &program, FROM_RESET).unwrap();
+    for window in [widest.unwrap(), widest.unwrap() + 1] {
+        let prepared = prepare_region_checkpoints(&analysis, &program, window).unwrap();
+        assert_eq!(prepared.replay_passes, from_reset.replay_passes);
+        assert_eq!(prepared.regions.len(), from_reset.regions.len());
+        for (a, b) in prepared.regions.iter().zip(&from_reset.regions) {
             assert_eq!(a.region.slice_index, b.region.slice_index);
-            assert_eq!(
-                outcome(&a.stats),
-                outcome(&b.stats),
-                "from reset vs prepared"
-            );
+            assert!(a.checkpoint.is_none() && b.checkpoint.is_none());
         }
+    }
+    let pooled = SimOptions {
+        pool_size: 3,
+        ..Default::default()
+    };
+    let serial = simulate_prepared(
+        &from_reset,
+        &program,
+        NTHREADS,
+        &simcfg,
+        &Default::default(),
+    );
+    let pooled = simulate_prepared(&from_reset, &program, NTHREADS, &simcfg, &pooled);
+    let (serial, pooled) = (serial.unwrap(), pooled.unwrap());
+    assert_eq!(serial.len(), pooled.len());
+    for (a, b) in serial.iter().zip(&pooled) {
+        assert_eq!(a.region.slice_index, b.region.slice_index);
+        assert_eq!(outcome(&a.stats), outcome(&b.stats), "serial vs pooled");
     }
 }
 

@@ -4,9 +4,8 @@
 //! pipeline run.
 
 use looppoint::{
-    analyze, prepare_region_checkpoints, run_pipeline, simulate_prepared,
-    simulate_representatives_checkpointed, LoopPointConfig, PreparedCheckpoints, PreparedRegion,
-    SimOptions,
+    analyze, prepare_region_checkpoints, run_pipeline, simulate_prepared, LoopPointConfig,
+    PreparedCheckpoints, PreparedRegion, SimOptions, WARMUP_SLICES,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -14,7 +13,6 @@ use lp_workloads::{build, matrix_demo, InputClass};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 const NTHREADS: usize = 4;
-const WARMUP_SLICES: usize = 2;
 
 /// One test at a time: the pass-budget test reads process-global counters
 /// that every pipeline run of this binary adds to.
@@ -32,11 +30,14 @@ fn demo_program() -> (Arc<lp_isa::Program>, usize) {
     (p, n)
 }
 
-fn demo_analysis() -> (Arc<lp_isa::Program>, usize, looppoint::Analysis) {
+fn demo_config() -> LoopPointConfig {
+    LoopPointConfig::with_slice_base(4_000)
+}
+
+fn demo_analysis() -> (Arc<lp_isa::Program>, looppoint::Analysis) {
     let (p, n) = demo_program();
-    let cfg = LoopPointConfig::with_slice_base(4_000);
-    let analysis = analyze(&p, n, &cfg).unwrap();
-    (p, n, analysis)
+    let analysis = analyze(&p, n, &demo_config()).unwrap();
+    (p, analysis)
 }
 
 /// The reference the single-pass generator is held to: one full pinball
@@ -97,7 +98,7 @@ fn assert_stats_eq(a: &lp_sim::SimStats, b: &lp_sim::SimStats, what: &str) {
 #[test]
 fn single_pass_prepares_identical_checkpoints_in_one_replay() {
     let _serial = serial();
-    let (p, _, analysis) = demo_analysis();
+    let (p, analysis) = demo_analysis();
     assert!(
         analysis.looppoints.len() >= 2,
         "need multiple regions to make the one-pass guarantee interesting"
@@ -143,39 +144,26 @@ fn single_pass_prepares_identical_checkpoints_in_one_replay() {
 #[test]
 fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
     let _serial = serial();
-    let (p, n, analysis) = demo_analysis();
-    let simcfg = SimConfig::gainestown(n);
+    let (p, n) = demo_program();
+    let (cfg, simcfg) = (demo_config(), SimConfig::gainestown(n));
 
-    // Serial, via the classic entry point (single-pass prepare inside).
-    let serial = simulate_representatives_checkpointed(
-        &analysis,
-        &p,
-        n,
-        &simcfg,
-        WARMUP_SLICES,
-        &SimOptions::default(),
-    )
-    .unwrap();
+    // Serial, through the pipeline (single-pass prepare inside).
+    let opts = SimOptions::default();
+    let run = run_pipeline(&p, n, &cfg, &simcfg, &opts, WARMUP_SLICES, None).unwrap();
+    let serial = run.results;
 
     // Per-region prepare + serial simulate: the reference result.
-    let reference_prep = prepare_with_one_replay_each(&analysis, &p);
-    let reference =
-        simulate_prepared(&reference_prep, &p, n, &simcfg, &SimOptions::default()).unwrap();
+    let reference_prep = prepare_with_one_replay_each(&run.analysis, &p);
+    let reference = simulate_prepared(&reference_prep, &p, n, &simcfg, &opts).unwrap();
 
     // Bounded-pool parallel run.
-    let pooled = simulate_representatives_checkpointed(
-        &analysis,
-        &p,
-        n,
-        &simcfg,
-        WARMUP_SLICES,
-        &SimOptions {
-            parallel: true,
-            pool_size: Some(3),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let opts = SimOptions {
+        pool_size: 3,
+        ..Default::default()
+    };
+    let pooled = run_pipeline(&p, n, &cfg, &simcfg, &opts, WARMUP_SLICES, None)
+        .unwrap()
+        .results;
 
     assert_eq!(serial.len(), reference.len());
     assert_eq!(serial.len(), pooled.len());
@@ -200,7 +188,7 @@ fn cold_pipeline_records_replays_and_checkpoints_once_each() {
     let trace = lp_obs::TraceContext::new_root();
 
     let (p, n) = demo_program();
-    let cfg = LoopPointConfig::with_slice_base(4_000).with_trace(Some(trace));
+    let cfg = demo_config().with_trace(Some(trace));
     let counter = |name: &str| observer.counter(name).get();
     let (recorded, replayed) = (
         counter("pinball.recorded_instructions"),

@@ -226,7 +226,7 @@ impl JobBackend for PipelineBackend {
                 &cfg,
                 &simcfg,
                 &opts,
-                2,
+                looppoint::WARMUP_SLICES,
                 self.store.as_deref(),
             )
             .map_err(|e| e.to_string())?;

@@ -3,8 +3,8 @@
 //! Run with: `cargo run --release --example microarch_portability`
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
-    SimOptions,
+    analyze, error_pct, extrapolate, prepare_region_checkpoints, simulate_prepared, simulate_whole,
+    LoopPointConfig, SimOptions, FROM_RESET,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -27,9 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.profile.slices.len()
     );
 
+    // Regions prepared once too: each fast-forwards from program start.
+    let prepared = prepare_region_checkpoints(&analysis, &program, FROM_RESET)?;
     for simcfg in [SimConfig::gainestown(8), SimConfig::gainestown_inorder(8)] {
-        let results = simulate_representatives(
-            &analysis,
+        let results = simulate_prepared(
+            &prepared,
             &program,
             nthreads,
             &simcfg,

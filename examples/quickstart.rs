@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, speedups,
-    LoopPointConfig, SimOptions,
+    error_pct, extrapolate, run_pipeline, simulate_whole, speedups, LoopPointConfig, SimOptions,
+    FROM_RESET,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -25,7 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. One-time, up-front analysis: record a flow-controlled pinball,
     //    replay it for the DCFG and spin-filtered BBV slices, cluster.
-    let analysis = analyze(&program, nthreads, &LoopPointConfig::with_slice_base(4_000))?;
+    // 2. Simulate each representative unconstrained (warmup from program
+    //    start + detailed), in parallel.
+    let run = run_pipeline(
+        &program,
+        nthreads,
+        &LoopPointConfig::with_slice_base(4_000),
+        &simcfg,
+        &SimOptions::parallel(),
+        FROM_RESET,
+        None,
+    )?;
+    let (analysis, results) = (&run.analysis, &run.results);
     println!(
         "analysis: {} slices -> {} looppoints (k={} clusters)",
         analysis.profile.slices.len(),
@@ -42,23 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 2. Simulate each representative unconstrained (warmup + detailed),
-    //    in parallel.
-    let results = simulate_representatives(
-        &analysis,
-        &program,
-        nthreads,
-        &simcfg,
-        &SimOptions::parallel(),
-    )?;
-
     // 3. Extrapolate whole-program performance (Eq. 1-2).
-    let prediction = extrapolate(&results);
+    let prediction = extrapolate(results);
 
     // 4. Validate against the full detailed run (affordable at demo scale).
     let full = simulate_whole(&program, nthreads, &simcfg)?;
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
-    let sp = speedups(&analysis, &results, &full);
+    let sp = speedups(analysis, results, &full);
 
     println!(
         "\npredicted runtime: {:>12.0} cycles",

@@ -6,8 +6,7 @@
 
 use looppoint::baselines::{analyze_naive, extrapolate_naive, simulate_naive_regions};
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
-    SimOptions,
+    error_pct, extrapolate, run_pipeline, simulate_whole, LoopPointConfig, SimOptions, FROM_RESET,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -32,15 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let program = build(&spec, InputClass::Train, 8, policy);
 
         // LoopPoint.
-        let analysis = analyze(&program, nthreads, &lp_cfg)?;
-        let results = simulate_representatives(
-            &analysis,
-            &program,
-            nthreads,
-            &simcfg,
-            &SimOptions::parallel(),
+        let opts = SimOptions::parallel();
+        let run = run_pipeline(
+            &program, nthreads, &lp_cfg, &simcfg, &opts, FROM_RESET, None,
         )?;
-        let prediction = extrapolate(&results);
+        let analysis = &run.analysis;
+        let prediction = extrapolate(&run.results);
         let full = simulate_whole(&program, nthreads, &simcfg)?;
         let lp_err = error_pct(prediction.total_cycles, full.cycles as f64);
 

@@ -170,7 +170,7 @@ group! {
     /// Knobs only the one-shot pipeline run has.
     ONESHOT, "ONE-SHOT OPTIONS":
     "--pool-size <n>" = "0", UINT,
-        "simulate regions concurrently on a bounded worker pool of n threads; 0 = serial";
+        "simulate regions concurrently on a bounded worker pool of n threads; 0 or 1 = serial";
     "--native" = "", Switch, "run the program natively (functional only)";
     "--no-store" = "", Switch, "ignore --store-dir (one-off fresh run)";
 }

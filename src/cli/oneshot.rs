@@ -5,7 +5,7 @@
 use super::{config_error, exit_for, open_store, pipeline_error, Matches};
 use looppoint::{
     diagnose, error_pct, extrapolate, run_pipeline, simulate_whole, speedups, DiagReport,
-    LoopPointConfig, SimOptions,
+    LoopPointConfig, SimOptions, WARMUP_SLICES,
 };
 use lp_isa::Program;
 use lp_obs::json::Value;
@@ -19,9 +19,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Checkpoint warm-up window, in slices (the paper's default deployment).
-const WARMUP_SLICES: usize = 2;
 
 /// Resolves every `-p` name up front: an unknown program is a usage
 /// error, caught before any work (or telemetry file) happens.
@@ -83,8 +80,7 @@ fn run_one(
     let pool_size: usize = m.get("--pool-size");
     let sim_opts = SimOptions {
         max_steps: cfg.max_steps,
-        parallel: pool_size > 0,
-        pool_size: (pool_size > 0).then_some(pool_size),
+        pool_size,
         ..Default::default()
     };
 
@@ -93,7 +89,7 @@ fn run_one(
         "[1/3] sampled pipeline: profiling (record + constrained replays), region checkpoints \
          ({WARMUP_SLICES}-slice warmup), region simulation{} ...",
         match pool_size {
-            0 => String::new(),
+            0 | 1 => String::new(),
             n => format!(" on a {n}-wide pool"),
         }
     );

@@ -162,16 +162,16 @@ fn spin_filter_makes_analysis_policy_independent() {
 #[test]
 fn facade_end_to_end_demo() {
     use looppoint_repro::looppoint::{
-        error_pct, extrapolate, simulate_representatives, simulate_whole, SimOptions,
+        error_pct, extrapolate, run_pipeline, simulate_whole, SimOptions, FROM_RESET,
     };
     let spec = looppoint_repro::workloads::matrix_demo(2);
     let n = spec.effective_threads(4);
     let p = build(&spec, InputClass::Test, 4, WaitPolicy::Passive);
     let simcfg = SimConfig::gainestown(n);
-    let analysis = analyze(&p, n, &LoopPointConfig::with_slice_base(2_000)).unwrap();
-    let results =
-        simulate_representatives(&analysis, &p, n, &simcfg, &SimOptions::parallel()).unwrap();
-    let prediction = extrapolate(&results);
+    let cfg = LoopPointConfig::with_slice_base(2_000);
+    let opts = SimOptions::parallel();
+    let run = run_pipeline(&p, n, &cfg, &simcfg, &opts, FROM_RESET, None).unwrap();
+    let prediction = extrapolate(&run.results);
     let full = simulate_whole(&p, n, &simcfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
     assert!(err < 10.0, "demo end-to-end error {err:.2}%");

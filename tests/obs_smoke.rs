@@ -8,9 +8,7 @@
 //! * `SimStats` round-trips exactly through the metrics registry
 //!   (instructions, cycles, filtered_instructions).
 
-use looppoint_repro::looppoint::{
-    analyze, simulate_representatives_checkpointed, LoopPointConfig, SimOptions,
-};
+use looppoint_repro::looppoint::{run_pipeline, LoopPointConfig, SimOptions, WARMUP_SLICES};
 use looppoint_repro::obs::{self, json, Observer, TraceArg};
 use looppoint_repro::omp::WaitPolicy;
 use looppoint_repro::sim::{Mode, Simulator};
@@ -29,18 +27,20 @@ fn end_to_end_pipeline_exports_valid_trace_and_metrics() {
     let nthreads = spec.effective_threads(4);
     let program = build(&spec, InputClass::Test, 4, WaitPolicy::Passive);
     let cfg = LoopPointConfig::with_slice_base(8_000).with_observer(observer.clone());
-    let analysis = analyze(&program, nthreads, &cfg).expect("analysis succeeds");
     let simcfg = SimConfig::gainestown(4);
-    let results = simulate_representatives_checkpointed(
-        &analysis,
+    let opts = SimOptions::default();
+    let run = run_pipeline(
         &program,
         nthreads,
+        &cfg,
         &simcfg,
-        2,
-        &SimOptions::default(),
+        &opts,
+        WARMUP_SLICES,
+        None,
     )
-    .expect("region simulation succeeds");
-    assert!(!results.is_empty());
+    .expect("sampled pipeline succeeds");
+    let analysis = &run.analysis;
+    assert!(!run.results.is_empty());
 
     // Every pipeline layer left a span.
     let events = observer.trace_events();
