@@ -69,15 +69,16 @@ STORE_METRICS="$PWD/target/ci-store-metrics.json"
   || { cat "$STORE_LOG" >&2; echo "store-smoke: cold run failed" >&2; exit 1; }
 grep -Eq 'store: 0 hits, [0-9]+ misses' "$STORE_LOG" || { echo "store-smoke: cold run should only miss" >&2; exit 1; }
 # The pass budget, as counts that repeat exactly: a cold run replays its
-# recording once (the DCFG rides the recording; 2x before) and makes one
-# checkpoint pass.
+# recording once (the DCFG rides the recording; 2x before) and makes no
+# checkpoint pass (the slicing replay keeps every slice-boundary state).
 python3 - "$STORE_METRICS" <<'PY' || { echo "store-smoke: pass budget breached" >&2; exit 1; }
 import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 recorded, replayed = c["pinball.recorded_instructions"], c["pinball.replayed_instructions"]
 assert recorded > 0 and replayed == recorded, f"replayed {replayed} of {recorded} recorded instructions"
-assert c["pinball.checkpoint_replays"] == 1, f'{c["pinball.checkpoint_replays"]} checkpoint passes'
-print(f"store-smoke: cold run recorded {recorded} instructions, replayed them once, one checkpoint pass")
+passes = c.get("pinball.checkpoint_replays", 0)
+assert passes == 0, f"{passes} checkpoint passes"
+print(f"store-smoke: cold run recorded {recorded} instructions, replayed them once, no checkpoint pass")
 PY
 COLD_ERR=$(grep 'runtime error' "$STORE_LOG")
 # The directory is the store's only index, checked by exact count: the
@@ -93,6 +94,19 @@ grep -Eq 'store: [1-9][0-9]* hits, 0 misses' "$STORE_LOG" || { echo "store-smoke
 WARM_ERR=$(grep 'runtime error' "$STORE_LOG")
 [ "$COLD_ERR" = "$WARM_ERR" ] || { echo "store-smoke: warm result differs from cold ($COLD_ERR vs $WARM_ERR)" >&2; exit 1; }
 [ "$(ls -A "$STORE_DIR")" = "$COLD_FILES" ] || { ls -A "$STORE_DIR" >&2; echo "store-smoke: warm run changed the store's file set" >&2; exit 1; }
+# Checkpoints gone, analysis cached: the one path that still makes a
+# checkpoint pass, and it must land on the cold run's answer.
+rm "$STORE_DIR"/*-checkpoints.lpa
+"${RUNNER[@]}" -p demo-matrix-1 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" \
+  --metrics-out "$STORE_METRICS" > "$STORE_LOG" 2>&1 \
+  || { cat "$STORE_LOG" >&2; echo "store-smoke: checkpoint-less run failed" >&2; exit 1; }
+grep -q 'analysis served from the artifact store' "$STORE_LOG" || { echo "store-smoke: checkpoint-less run did not hit the analysis" >&2; exit 1; }
+python3 - "$STORE_METRICS" <<'PY' || { echo "store-smoke: checkpoint-less run should make one checkpoint pass" >&2; exit 1; }
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c.get("pinball.checkpoint_replays", 0) == 1, c.get("pinball.checkpoint_replays", 0)
+PY
+[ "$(grep 'runtime error' "$STORE_LOG")" = "$COLD_ERR" ] || { echo "store-smoke: checkpoint-less result differs from cold" >&2; exit 1; }
 # Corrupt one cached artifact in place (flip a mid-file byte) and re-run.
 VICTIM=$(ls "$STORE_DIR"/*-clustering.lpa | head -n1)
 SIZE=$(wc -c < "$VICTIM")

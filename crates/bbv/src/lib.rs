@@ -25,5 +25,5 @@ mod slicer;
 mod vector;
 
 pub use fixed::{FixedSlice, FixedSlicer};
-pub use slicer::{LoopAlignedSlicer, Slice, SlicePolicy, SliceProfile};
+pub use slicer::{BoundaryState, LoopAlignedSlicer, Slice, SlicePolicy, SliceProfile};
 pub use vector::SparseVec;

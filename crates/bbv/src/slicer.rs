@@ -2,8 +2,8 @@
 
 use crate::vector::{dim, SparseVec};
 use lp_dcfg::Dcfg;
-use lp_isa::{Marker, PcTable, Program, Retired};
-use lp_pinball::ExecObserver;
+use lp_isa::{MachineState, Marker, Pc, PcTable, Program, Retired};
+use lp_pinball::{ExecObserver, Replayer};
 use std::sync::Arc;
 
 /// Slice-length policy (§III-B: fixed ~100 M-per-thread slices by default,
@@ -66,6 +66,31 @@ impl SliceProfile {
     }
 }
 
+/// The replayed machine at one slice boundary: what a checkpoint pass
+/// replaying to the boundary's marker would snapshot, taken by the slicing
+/// replay itself (see [`LoopAlignedSlicer::keep_boundary_states`]).
+#[derive(Debug, Clone)]
+pub struct BoundaryState {
+    /// The boundary: the end of one slice and the start of the next.
+    pub marker: Marker,
+    /// The machine right after the retirement that reached `marker`.
+    pub state: MachineState,
+    /// Global execution count of every main-image loop header at that
+    /// point — the count a marker watch started here must begin from.
+    pub header_counts: Vec<(Pc, u64)>,
+}
+
+impl BoundaryState {
+    /// The global execution count of `pc` at the boundary (0 for a PC that
+    /// is not a main-image loop header).
+    pub fn count(&self, pc: Pc) -> u64 {
+        self.header_counts
+            .iter()
+            .find(|&&(p, _)| p == pc)
+            .map_or(0, |&(_, count)| count)
+    }
+}
+
 /// Observer that slices the retirement stream at main-image loop headers
 /// once the filtered instruction-count target is met (§III-B: slice size
 /// ≈ N × base for an N-threaded application).
@@ -80,6 +105,10 @@ pub struct LoopAlignedSlicer {
     /// Global execution counts of every main-image loop header (dense:
     /// probed once per retired instruction).
     header_counts: PcTable<u64>,
+    /// The main-image loop headers, in DCFG order.
+    headers: Vec<Pc>,
+    /// The machine at every slice boundary, when kept.
+    boundary_states: Option<Vec<BoundaryState>>,
     /// `(block id, block length)` at every PC a DCFG block covers:
     /// [`Dcfg::block_of`]'s answer, dense (probed once per block entry).
     block_at: PcTable<(u32, u32)>,
@@ -109,7 +138,8 @@ impl LoopAlignedSlicer {
     pub fn new(program: Arc<Program>, dcfg: &Dcfg, nthreads: usize, slice_base: u64) -> Self {
         assert!(slice_base > 0);
         let mut header_counts = PcTable::new(&program);
-        for pc in dcfg.main_image_loop_headers() {
+        let headers = dcfg.main_image_loop_headers();
+        for &pc in &headers {
             header_counts.get_or_insert_with(pc, || 0);
         }
         let block_at = PcTable::from_fn(&program, |pc| {
@@ -125,6 +155,8 @@ impl LoopAlignedSlicer {
             policy: SlicePolicy::Fixed,
             filter_spin: true,
             header_counts,
+            headers,
+            boundary_states: None,
             block_at,
             nblocks,
             entering_block: vec![true; nthreads],
@@ -150,6 +182,15 @@ impl LoopAlignedSlicer {
     /// the configuration §IV-F argues against).
     pub fn set_spin_filter(&mut self, enabled: bool) {
         self.filter_spin = enabled;
+    }
+
+    /// Keeps the machine state at every slice boundary the slicer reaches
+    /// on a [`Pinball::replay`](lp_pinball::Pinball::replay), for
+    /// [`LoopAlignedSlicer::finish_with_boundary_states`]. A state costs
+    /// the pages stored to since the previous one, since snapshots share
+    /// every other page.
+    pub fn keep_boundary_states(&mut self) {
+        self.boundary_states.get_or_insert_with(Vec::new);
     }
 
     fn close_slice(&mut self, end: Option<Marker>) {
@@ -183,22 +224,33 @@ impl LoopAlignedSlicer {
     }
 
     /// Finalizes the profile (closing the trailing partial slice).
-    pub fn finish(mut self) -> SliceProfile {
+    pub fn finish(self) -> SliceProfile {
+        self.finish_with_boundary_states().0
+    }
+
+    /// [`LoopAlignedSlicer::finish`], plus the kept boundary states (empty
+    /// unless [`LoopAlignedSlicer::keep_boundary_states`] was called). In
+    /// execution order: the state at the start of slice `i` is entry
+    /// `i - 1`, whose marker is that slice's start marker.
+    pub fn finish_with_boundary_states(mut self) -> (SliceProfile, Vec<BoundaryState>) {
         if self.cur_total > 0 || self.slices.is_empty() {
             self.close_slice(None);
         }
-        SliceProfile {
+        let profile = SliceProfile {
             slices: self.slices,
             slice_target: self.slice_target,
             nthreads: self.nthreads,
             total_filtered: self.total_filtered,
             total_insts: self.total_insts,
-        }
+        };
+        (profile, self.boundary_states.unwrap_or_default())
     }
-}
 
-impl ExecObserver for LoopAlignedSlicer {
-    fn on_retire(&mut self, r: &Retired) {
+    /// Accounts one retirement; returns the marker of the slice boundary it
+    /// reached, if any.
+    #[inline]
+    fn observe(&mut self, r: &Retired) -> Option<Marker> {
+        let mut boundary = None;
         // Slice boundary check happens *before* accounting, so the header
         // execution opens the next slice (the paper's "end a region at the
         // next loop entry once the target is achieved").
@@ -208,6 +260,7 @@ impl ExecObserver for LoopAlignedSlicer {
                 if self.cur_filtered >= self.slice_target {
                     let marker = Marker::new(r.pc, *count);
                     self.close_slice(Some(marker));
+                    boundary = Some(marker);
                 }
             }
 
@@ -229,6 +282,31 @@ impl ExecObserver for LoopAlignedSlicer {
         self.cur_total += 1;
         self.total_insts += 1;
         self.entering_block[r.tid] = r.ctrl.is_some();
+        boundary
+    }
+}
+
+impl ExecObserver for LoopAlignedSlicer {
+    fn on_retire(&mut self, r: &Retired) {
+        self.observe(r);
+    }
+
+    fn on_replayed(&mut self, r: &Retired, replayer: &Replayer<'_>) {
+        let Some(marker) = self.observe(r) else {
+            return;
+        };
+        if let Some(states) = &mut self.boundary_states {
+            let header_counts = self
+                .headers
+                .iter()
+                .map(|&pc| (pc, self.header_counts.get(pc).copied().unwrap_or(0)))
+                .collect();
+            states.push(BoundaryState {
+                marker,
+                state: replayer.snapshot().0,
+                header_counts,
+            });
+        }
     }
 }
 

@@ -13,11 +13,9 @@
 use crate::config::LoopPointConfig;
 use crate::error::LoopPointError;
 use crate::extrapolate::extrapolate;
-use crate::persist::{analyze_cached, prepare_region_checkpoints_cached};
-use crate::pipeline::{analyze, Analysis};
-use crate::simulate::{
-    prepare_region_checkpoints, simulate_prepared_with_cancel, RegionResult, SimOptions,
-};
+use crate::persist::{analyze_cached_keeping, prepare_cached_from};
+use crate::pipeline::Analysis;
+use crate::simulate::{simulate_prepared_with_cancel, RegionResult, SimOptions};
 use lp_isa::Program;
 use lp_store::Store;
 use lp_uarch::SimConfig;
@@ -137,13 +135,20 @@ pub fn run_job(
 }
 
 /// Runs the full sampled pipeline for one program: analysis (cached when
-/// `store` is given), single-pass checkpoint generation (ditto), and
-/// region simulation honoring `cfg.cancel`. The observer's phase label
-/// moves to the `simulate-regions` stage once the analysis is in hand.
+/// `store` is given), region checkpoints (ditto), and region simulation
+/// honoring `cfg.cancel`. The observer's phase label moves to the
+/// `simulate-regions` stage once the analysis is in hand.
+///
+/// A computed analysis keeps the machine state at every slice boundary of
+/// its slicing replay, and the region checkpoints are those states: a cold
+/// run steps the program three times — record, replay, regions — and makes
+/// no checkpoint pass (`replay_passes == 0`), with or without a store. Only
+/// an analysis served from the store without its checkpoints replays once
+/// more, through [`crate::prepare_region_checkpoints`].
 ///
 /// `warmup_slices` is the checkpoint warmup window: [`WARMUP_SLICES`] is
 /// the paper's deployment, [`FROM_RESET`] the binary-driven window that
-/// reaches program start (no checkpoint replay at all).
+/// reaches program start (no checkpoint at all).
 ///
 /// [`WARMUP_SLICES`]: crate::WARMUP_SLICES
 /// [`FROM_RESET`]: crate::FROM_RESET
@@ -166,27 +171,26 @@ pub fn run_pipeline(
     let mut span = cfg.obs.span("job.run", "pipeline");
     span.arg("nthreads", nthreads);
 
-    let (analysis, analysis_from_store) = match store {
-        Some(store) => analyze_cached(program, nthreads, cfg, store)?,
-        None => (analyze(program, nthreads, cfg)?, false),
-    };
+    // `states`: the slicing replay's boundary states, `None` when the
+    // analysis came from the store. A window that reaches program start
+    // takes no checkpoint, so it keeps none.
+    let keep_states = warmup_slices != crate::FROM_RESET;
+    let (analysis, states) = analyze_cached_keeping(program, nthreads, cfg, store, keep_states)?;
+    let analysis_from_store = states.is_none();
     cfg.cancel.check()?;
 
     cfg.obs.set_stage("simulate-regions");
-    let (prepared, checkpoints_from_store) = match store {
-        Some(store) => prepare_region_checkpoints_cached(
-            &analysis,
-            program,
-            nthreads,
-            cfg,
-            warmup_slices,
-            store,
-        )?,
-        None => (
-            prepare_region_checkpoints(&analysis, program, warmup_slices)?,
-            false,
-        ),
-    };
+    let (prepared, checkpoints_from_store) = prepare_cached_from(
+        &analysis,
+        states.as_deref(),
+        program,
+        nthreads,
+        cfg,
+        warmup_slices,
+        store,
+    )?;
+    // Only the regions' own checkpoints outlive preparation.
+    drop(states);
     cfg.cancel.check()?;
 
     let results =

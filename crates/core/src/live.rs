@@ -11,16 +11,19 @@
 //! the live centroids and decides:
 //!
 //! * **simulate in detail** — new cluster, no IPC sample yet, stale, or
-//!   low confidence: the region is re-run in detailed mode from a machine
-//!   snapshot taken a configurable number of regions earlier (warmup), and
+//!   low confidence: the region is re-run in detailed mode from the
+//!   machine snapshot and warm timing model taken at its own start, and
 //!   its measured IPC becomes the cluster's prediction source;
 //! * **predict** — a confident match: the region's cycles are
 //!   extrapolated from the cluster's last detailed IPC, and no detailed
 //!   simulation happens at all.
 //!
-//! Snapshots are cheap in-memory [`lp_isa::MachineState`] clones kept in a
-//! short ring (the live analogue of checkpoint-driven warmup), so detailed
-//! re-runs never re-execute the program prefix.
+//! The one pass takes that snapshot where it stops at each region start.
+//! A [`lp_isa::MachineState`] shares every memory page not stored to since
+//! the previous snapshot, so it costs the pages the last region wrote, and
+//! the timing model the pass has been warming all along moves into the
+//! re-run. A detailed re-run therefore needs no warm-up leg and never
+//! re-executes anything outside its region.
 //!
 //! Every decision is recorded; [`diagnose_live`] maps the outcome onto
 //! `lp-diag`'s [`ClusterInput`] so live-mode error decomposes into
@@ -29,12 +32,11 @@
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
 use lp_diag::{ClusterInput, DiagReport};
-use lp_isa::{Machine, MachineState, Marker, PcTable, Program};
+use lp_isa::{Machine, MachineState, PcTable, Program};
 use lp_live::{Action, Decision, DetailReason, LiveProgress, OnlineClassifier, StreamingSlicer};
 use lp_obs::{names, Observer};
-use lp_sim::{Mode, SimStats, Simulator};
+use lp_sim::{Mode, SimStats, Simulator, TimingModel};
 use lp_uarch::SimConfig;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of a live-mode run.
@@ -45,10 +47,6 @@ pub struct LiveConfig {
     pub slice_base: u64,
     /// Online classifier + simulate/predict policy tuning.
     pub online: lp_live::OnlineConfig,
-    /// How many regions of fast-forward warmup a detailed re-run gets
-    /// (snapshots are kept this many regions back; the live analogue of
-    /// the checkpoint `warmup_slices`).
-    pub warmup_regions: usize,
     /// Hard step budget for any single simulation segment.
     pub max_steps: u64,
     /// Observability handle the run's spans and `live.*` metrics go to.
@@ -64,7 +62,6 @@ impl Default for LiveConfig {
         LiveConfig {
             slice_base: 25_000,
             online: lp_live::OnlineConfig::default(),
-            warmup_regions: 1,
             max_steps: DEFAULT_MAX_STEPS,
             obs: lp_obs::global(),
             cancel: crate::CancelToken::default(),
@@ -113,8 +110,6 @@ pub struct LiveRepStats {
     pub cycles: u64,
     /// Instructions retired in the detailed window.
     pub instructions: u64,
-    /// Instructions fast-forwarded before the detailed window (warmup).
-    pub ff_instructions: u64,
 }
 
 /// One region of a live run: the classification decision plus accounting.
@@ -214,18 +209,14 @@ impl LiveOutcome {
     }
 }
 
-/// A machine snapshot taken at a region start, with the loop-header
-/// execution counts at that moment (so a re-run can seed marker watches).
+/// The current region's start: a machine snapshot taken where the main
+/// pass stopped, with the warm timing model and the loop-header execution
+/// counts at that moment (so a re-run can seed its end-marker watch).
 struct LiveCheckpoint {
-    /// `None` means program reset (before the first region).
-    state: Option<MachineState>,
-    /// Warm microarchitectural state at the snapshot instant, so rewound
-    /// detailed runs keep the caches and predictors the one live pass has
-    /// been warming all along (`None` only for the program-reset entry).
-    timing: Option<lp_sim::TimingModel>,
+    /// Architectural and warm microarchitectural state; `None` at program
+    /// reset (the first region), which a re-run starts from cold.
+    warm: Option<(MachineState, TimingModel)>,
     counts: PcTable<u64>,
-    /// Boundary the snapshot was taken at (`None` = program start).
-    at: Option<Marker>,
 }
 
 /// Runs the whole program **once** in live mode: streaming slicing, online
@@ -255,15 +246,11 @@ pub fn analyze_live(
     let mut slicer = StreamingSlicer::new(program.clone(), nthreads, cfg.slice_base);
     let mut classifier = OnlineClassifier::new(cfg.online);
 
-    // Snapshot ring: starts of the last `warmup_regions + 1` regions; the
-    // front entry is where a detailed re-run restores from.
-    let mut ring: VecDeque<LiveCheckpoint> = VecDeque::new();
-    ring.push_back(LiveCheckpoint {
-        state: None,
-        timing: None,
+    // Where a detailed re-run of the current region starts from.
+    let mut start = LiveCheckpoint {
+        warm: None,
         counts: PcTable::new(program),
-        at: None,
-    });
+    };
 
     let mut regions: Vec<LiveRegionRecord> = Vec::new();
     let mut cluster_est_cycles: Vec<f64> = Vec::new();
@@ -274,7 +261,7 @@ pub fn analyze_live(
     let mut detailed_insts = 0u64;
 
     let mut program_done = false;
-    while !program_done {
+    loop {
         cfg.cancel.check()?;
         sim.run_with(Mode::FastForward, None, cfg.max_steps, &mut |r| {
             slicer.on_retire(r)
@@ -295,10 +282,9 @@ pub fn analyze_live(
         let mut detailed: Option<LiveRepStats> = None;
         let est_cycles = match decision.action {
             Action::Detail(reason) => {
-                let ckpt = ring.front().expect("snapshot ring is never empty");
                 let stats = simulate_region_detailed(
                     &region,
-                    ckpt,
+                    start,
                     program,
                     nthreads,
                     simcfg,
@@ -321,7 +307,6 @@ pub fn analyze_live(
                     region: region.index,
                     cycles: stats.cycles,
                     instructions: stats.instructions,
-                    ff_instructions: stats.ff_instructions,
                 });
                 stats.cycles as f64
             }
@@ -354,19 +339,6 @@ pub fn analyze_live(
             detailed,
         });
 
-        // Roll the snapshot ring forward to the next region's start.
-        if !program_done {
-            while ring.len() > cfg.warmup_regions {
-                ring.pop_front();
-            }
-            ring.push_back(LiveCheckpoint {
-                state: Some(sim.machine().snapshot()),
-                timing: Some(sim.timing_checkpoint()),
-                counts: slicer.header_counts().clone(),
-                at: region.end,
-            });
-        }
-
         let snapshot = LiveProgress {
             regions: regions.len() as u64,
             clusters: classifier.k() as u64,
@@ -387,6 +359,14 @@ pub fn analyze_live(
             .set(snapshot.detailed_pct);
         obs.gauge(names::LIVE_EST_IPC).set(snapshot.est_ipc);
         progress(&snapshot);
+        if program_done {
+            break;
+        }
+        // The main pass stopped on the next region's start marker.
+        start = LiveCheckpoint {
+            warm: Some((sim.machine().snapshot(), sim.timing_checkpoint())),
+            counts: slicer.header_counts().clone(),
+        };
     }
 
     let clusters: Vec<LiveClusterSummary> = classifier
@@ -432,13 +412,13 @@ pub fn analyze_live(
     Ok(outcome)
 }
 
-/// Re-runs one region in detailed mode from the snapshot at `ckpt`:
-/// fast-forward (warming) from the snapshot to the region's start marker,
-/// then detailed to its end marker — binary-driven warmup, exactly like
-/// the two-phase checkpoint path.
+/// Re-runs one region in detailed mode from `start`, the snapshot at its
+/// own start marker, to its end marker. The timing model moves out of the
+/// checkpoint: caches and predictors are as warm as the one pass left them,
+/// with no fast-forward leg.
 fn simulate_region_detailed(
     region: &lp_live::LiveRegion,
-    ckpt: &LiveCheckpoint,
+    start: LiveCheckpoint,
     program: &Arc<Program>,
     nthreads: usize,
     simcfg: &SimConfig,
@@ -447,23 +427,17 @@ fn simulate_region_detailed(
 ) -> Result<SimStats, LoopPointError> {
     let mut span = obs.span(names::SPAN_LIVE_DETAIL, names::CAT_LIVE);
     span.arg("region", region.index);
-    let mut rsim = match (&ckpt.state, &ckpt.timing) {
-        (Some(state), Some(timing)) => Simulator::from_machine_warm(
-            Machine::from_snapshot(program.clone(), state),
-            timing.clone(),
-        ),
-        _ => Simulator::new(program.clone(), nthreads, simcfg.clone()),
+    let mut rsim = match start.warm {
+        Some((state, timing)) => {
+            Simulator::from_machine_warm(Machine::from_snapshot(program.clone(), &state), timing)
+        }
+        None => Simulator::new(program.clone(), nthreads, simcfg.clone()),
     };
     rsim.set_observer(obs.clone());
-    // Warm caches and predictors during the fast-forward leg, exactly as
-    // the two-phase checkpoint path does for its warmup slices.
-    rsim.set_ff_warming(true);
-    for m in [region.start, region.end].into_iter().flatten() {
-        rsim.watch_pc_from(m.pc, ckpt.counts.get(m.pc).copied().unwrap_or(0));
+    if let Some(end) = region.end {
+        rsim.watch_pc_from(end.pc, start.counts.get(end.pc).copied().unwrap_or(0));
     }
-    // A snapshot taken on the start marker has nothing to fast-forward.
-    let start = region.start.filter(|_| region.start != ckpt.at);
-    let stats = rsim.run_region(start, region.end, max_steps)?;
+    let stats = rsim.run_region(None, region.end, max_steps)?;
     span.arg("cycles", stats.cycles);
     span.arg("instructions", stats.instructions);
     Ok(stats)
@@ -580,7 +554,9 @@ pub fn diagnose_live(
             cluster_filtered_insts: c.filtered_insts,
             rep_cycles: c.rep.cycles,
             rep_instructions: c.rep.instructions,
-            ff_instructions: c.rep.ff_instructions,
+            // A live representative starts warm, at its own start marker:
+            // nothing is fast-forwarded, so nothing is charged to warm-up.
+            ff_instructions: 0,
             rep_distance: c.rep_distance,
             mean_member_distance: c.mean_member_distance,
         })
@@ -674,6 +650,23 @@ mod tests {
             "Σe_c = {sum} vs {}",
             report.error_cycles
         );
+    }
+
+    /// A live representative starts warm at its own start marker: nothing
+    /// is fast-forwarded, so no cluster's error is charged to warm-up.
+    #[test]
+    fn diagnose_live_charges_nothing_to_warmup() {
+        let nthreads = 2;
+        let program = phased_program(nthreads, WaitPolicy::Passive, 8);
+        let simcfg = SimConfig::gainestown(nthreads);
+        let obs = Observer::enabled();
+        let outcome = analyze_live(&program, nthreads, &live_cfg(), &simcfg, &mut |_| {}).unwrap();
+        let full = simulate_whole(&program, nthreads, &simcfg).unwrap();
+        let report = diagnose_live("phased", nthreads, &outcome, Some(&full), &obs);
+        assert!(report.clusters.iter().any(|c| c.error_cycles != 0.0));
+        for c in &report.clusters {
+            assert_eq!(c.components.warmup, 0.0, "cluster {}", c.cluster);
+        }
     }
 
     #[test]

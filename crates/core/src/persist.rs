@@ -24,9 +24,11 @@
 
 use crate::config::LoopPointConfig;
 use crate::error::LoopPointError;
-use crate::pipeline::{analyze, Analysis, LoopPointRegion};
-use crate::simulate::{prepare_region_checkpoints, PreparedCheckpoints, PreparedRegion};
-use lp_bbv::{Slice, SliceProfile, SparseVec};
+use crate::pipeline::{analyze_keeping, Analysis, LoopPointRegion};
+use crate::simulate::{
+    prepare_from_boundary_states, prepare_region_checkpoints, PreparedCheckpoints, PreparedRegion,
+};
+use lp_bbv::{BoundaryState, Slice, SliceProfile, SparseVec};
 use lp_dcfg::{BasicBlock, BlockId, Dcfg, Edge, LoopInfo, Routine};
 use lp_isa::{MachineState, Marker, Pc, Program};
 use lp_pinball::Pinball;
@@ -602,6 +604,8 @@ fn save_analysis(analysis: &Analysis, key: StoreKey, store: &Store) {
 /// analysis is byte-identical (under this module's canonical encodings) to
 /// what the cold path computes.
 ///
+/// [`analyze`]: crate::analyze
+///
 /// # Errors
 /// Exactly the failure modes of [`analyze`]; store I/O problems degrade to
 /// recomputation or a logged warning, never an error.
@@ -611,18 +615,38 @@ pub fn analyze_cached(
     cfg: &LoopPointConfig,
     store: &Store,
 ) -> Result<(Analysis, bool), LoopPointError> {
+    let (analysis, computed) = analyze_cached_keeping(program, nthreads, cfg, Some(store), false)?;
+    Ok((analysis, computed.is_none()))
+}
+
+/// [`analyze_cached`] over an optional store (`None`: always compute),
+/// whose compute path keeps the slicing replay's boundary states when
+/// `keep_boundary_states` (see [`analyze_keeping`]). Returns the analysis
+/// and, when it was computed rather than served, those states (empty
+/// unless kept).
+pub(crate) fn analyze_cached_keeping(
+    program: &Arc<Program>,
+    nthreads: usize,
+    cfg: &LoopPointConfig,
+    store: Option<&Store>,
+    keep_boundary_states: bool,
+) -> Result<(Analysis, Option<Vec<BoundaryState>>), LoopPointError> {
+    let Some(store) = store else {
+        let (analysis, states) = analyze_keeping(program, nthreads, cfg, keep_boundary_states)?;
+        return Ok((analysis, Some(states)));
+    };
     let key = analysis_key(program, nthreads, cfg);
     let mut span = cfg.obs.span("analyze.cached", "pipeline");
     span.arg("key", key.hex());
     if let Some(analysis) = try_load_analysis(program, key, store) {
         span.arg("outcome", "hit");
         lp_obs::lp_debug!("analyze: served from store ({key})");
-        return Ok((analysis, true));
+        return Ok((analysis, None));
     }
     span.arg("outcome", "miss");
-    let analysis = analyze(program, nthreads, cfg)?;
+    let (analysis, states) = analyze_keeping(program, nthreads, cfg, keep_boundary_states)?;
     save_analysis(&analysis, key, store);
-    Ok((analysis, false))
+    Ok((analysis, Some(states)))
 }
 
 /// [`prepare_region_checkpoints`] with a persistent cache, keyed by the
@@ -641,6 +665,41 @@ pub fn prepare_region_checkpoints_cached(
     warmup_slices: usize,
     store: &Store,
 ) -> Result<(PreparedCheckpoints, bool), LoopPointError> {
+    prepare_cached_from(
+        analysis,
+        None,
+        program,
+        nthreads,
+        cfg,
+        warmup_slices,
+        Some(store),
+    )
+}
+
+/// [`prepare_region_checkpoints_cached`] over an optional store (`None`:
+/// always build), whose build path takes the slicing replay's boundary
+/// states (no replay) when the analysis was just computed with them, and
+/// replays once when it was served from the store.
+pub(crate) fn prepare_cached_from(
+    analysis: &Analysis,
+    states: Option<&[BoundaryState]>,
+    program: &Arc<Program>,
+    nthreads: usize,
+    cfg: &LoopPointConfig,
+    warmup_slices: usize,
+    store: Option<&Store>,
+) -> Result<(PreparedCheckpoints, bool), LoopPointError> {
+    let build = || match states {
+        Some(states) => Ok(prepare_from_boundary_states(
+            analysis,
+            states,
+            warmup_slices,
+        )),
+        None => prepare_region_checkpoints(analysis, program, warmup_slices),
+    };
+    let Some(store) = store else {
+        return Ok((build()?, false));
+    };
     let key = checkpoints_key(analysis_key(program, nthreads, cfg), warmup_slices);
     let mut span = cfg.obs.span("region.checkpoints.cached", "pipeline");
     span.arg("key", key.hex());
@@ -659,7 +718,7 @@ pub fn prepare_region_checkpoints_cached(
         }
     }
     span.arg("outcome", "miss");
-    let prepared = prepare_region_checkpoints(analysis, program, warmup_slices)?;
+    let prepared = build()?;
     if let Err(e) = store.save(
         &key,
         ArtifactKind::Checkpoints,
@@ -673,6 +732,7 @@ pub fn prepare_region_checkpoints_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::analyze;
     use crate::testutil;
     use lp_omp::WaitPolicy;
 

@@ -2,7 +2,7 @@
 
 use crate::config::LoopPointConfig;
 use crate::error::LoopPointError;
-use lp_bbv::{LoopAlignedSlicer, SliceProfile};
+use lp_bbv::{BoundaryState, LoopAlignedSlicer, SliceProfile};
 use lp_dcfg::{Dcfg, DcfgBuilder};
 use lp_isa::{Marker, Program};
 use lp_pinball::{Pinball, RecordConfig};
@@ -93,6 +93,23 @@ pub fn analyze(
     nthreads: usize,
     cfg: &LoopPointConfig,
 ) -> Result<Analysis, LoopPointError> {
+    Ok(analyze_keeping(program, nthreads, cfg, false)?.0)
+}
+
+/// [`analyze`], plus — with `keep_boundary_states` — the machine state
+/// at every slice boundary, taken by the slicing replay (in execution
+/// order; see [`LoopAlignedSlicer::finish_with_boundary_states`]). Every
+/// warm-up marker of a region is a slice start, so these states are the
+/// region checkpoints of any warm-up window without a checkpoint pass.
+///
+/// # Errors
+/// As [`analyze`].
+pub(crate) fn analyze_keeping(
+    program: &Arc<Program>,
+    nthreads: usize,
+    cfg: &LoopPointConfig,
+    keep_boundary_states: bool,
+) -> Result<(Analysis, Vec<BoundaryState>), LoopPointError> {
     let obs = &cfg.obs;
     let mut analyze_span = obs.span("analyze", "pipeline");
     analyze_span.arg("nthreads", nthreads);
@@ -133,15 +150,18 @@ pub fn analyze(
 
     cfg.cancel.check()?;
     // 3. Loop-aligned, spin-filtered slicing + per-thread BBVs (§III-B/C).
-    let profile = {
+    let (profile, boundary_states) = {
         let mut span = obs.span("analyze.slicing", "pipeline");
         let mut slicer = LoopAlignedSlicer::new(program.clone(), &dcfg, nthreads, cfg.slice_base);
         slicer.set_spin_filter(cfg.filter_spin);
         slicer.set_policy(cfg.slice_policy);
+        if keep_boundary_states {
+            slicer.keep_boundary_states();
+        }
         pinball.replay(program.clone(), &mut [&mut slicer], cfg.max_steps)?;
-        let profile = slicer.finish();
+        let (profile, states) = slicer.finish_with_boundary_states();
         span.arg("slices", profile.slices.len());
-        profile
+        (profile, states)
     };
     if profile.slices.is_empty() {
         return Err(LoopPointError::NoSlices {
@@ -192,13 +212,14 @@ pub fn analyze(
         .add(looppoints.len() as u64);
     analyze_span.arg("looppoints", looppoints.len());
 
-    Ok(Analysis {
+    let analysis = Analysis {
         pinball,
         dcfg,
         profile,
         clustering,
         looppoints,
-    })
+    };
+    Ok((analysis, boundary_states))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
 use crate::pipeline::{Analysis, LoopPointRegion};
 use crate::pool;
+use lp_bbv::BoundaryState;
 use lp_isa::{MachineState, Marker, Pc, Program};
 use lp_sim::{SimError, SimStats, Simulator};
 use lp_uarch::SimConfig;
@@ -78,9 +79,10 @@ pub struct PreparedRegion {
 pub struct PreparedCheckpoints {
     /// One prepared entry per looppoint, in looppoint order.
     pub regions: Vec<PreparedRegion>,
-    /// Full pinball replays performed to build the checkpoints. The
-    /// single-pass generator keeps this at **1** regardless of region
-    /// count (0 when no region needs a checkpoint).
+    /// Full pinball replays performed to build the checkpoints: **1**
+    /// from [`prepare_region_checkpoints`] regardless of region count, 0
+    /// when no region needs a checkpoint, when the slicing replay's
+    /// boundary states served, or when the store did.
     pub replay_passes: u64,
 }
 
@@ -91,6 +93,29 @@ pub struct RegionResult {
     pub region: LoopPointRegion,
     /// Region statistics (with warmup accounting in the `ff_*` fields).
     pub stats: SimStats,
+}
+
+/// The start marker of the slice `warmup_slices` before `region`'s, where
+/// its warm-up begins (`None`: program start), and that slice's index.
+fn warm_start(
+    analysis: &Analysis,
+    region: &LoopPointRegion,
+    warmup_slices: usize,
+) -> (usize, Option<Marker>) {
+    let warm_idx = region.slice_index.saturating_sub(warmup_slices);
+    (warm_idx, analysis.profile.slices[warm_idx].start)
+}
+
+/// The watch counts a region's checkpoint carries: the global execution
+/// count at the checkpoint of each of the region's own start/end PCs.
+fn own_counts(region: &LoopPointRegion, count: impl Fn(Pc) -> u64) -> Vec<(Pc, u64)> {
+    let mut own: Vec<(Pc, u64)> = Vec::new();
+    for m in [region.start, region.end].into_iter().flatten() {
+        if own.iter().all(|&(pc, _)| pc != m.pc) {
+            own.push((m.pc, count(m.pc)));
+        }
+    }
+    own
 }
 
 /// Builds the per-region checkpoints, taken `warmup_slices` slices before
@@ -104,6 +129,11 @@ pub struct RegionResult {
 /// so the prepared payloads are byte-identical to k one-marker
 /// `checkpoints_at` calls. Snapshot sizes are recorded into the
 /// `region.checkpoint_bytes` histogram.
+///
+/// A cold [`crate::run_pipeline`] does not call this: its slicing replay
+/// already holds every slice-boundary state. This is the path for an
+/// analysis served from the store without its checkpoints, and the
+/// byte-for-byte oracle of the states the slicing replay keeps.
 ///
 /// # Errors
 /// Replay failures, or a warmup marker the recording never reaches.
@@ -123,9 +153,7 @@ pub fn prepare_region_checkpoints(
     let mut marker_slots: Vec<Option<usize>> = Vec::with_capacity(analysis.looppoints.len());
     let mut watch: Vec<Pc> = Vec::new();
     for region in &analysis.looppoints {
-        let warm_idx = region.slice_index.saturating_sub(warmup_slices);
-        let warm_marker = analysis.profile.slices[warm_idx].start;
-        match warm_marker {
+        match warm_start(analysis, region, warmup_slices).1 {
             None => marker_slots.push(None), // near program start: from reset
             Some(marker) => {
                 marker_slots.push(Some(markers.len()));
@@ -154,15 +182,7 @@ pub fn prepare_region_checkpoints(
             let checkpoint = slot.map(|i| {
                 let (ckpt, counts) = &batch[i];
                 checkpoint_bytes.record(ckpt.state().encoded_len() as u64);
-                // Filter the union watch counts down to this region's own
-                // start/end PCs.
-                let mut own: Vec<(Pc, u64)> = Vec::new();
-                for m in [region.start, region.end].into_iter().flatten() {
-                    if own.iter().all(|&(pc, _)| pc != m.pc) {
-                        own.push((m.pc, counts[&m.pc]));
-                    }
-                }
-                (ckpt.state().clone(), own)
+                (ckpt.state().clone(), own_counts(region, |pc| counts[&pc]))
             });
             PreparedRegion {
                 region: region.clone(),
@@ -174,6 +194,45 @@ pub fn prepare_region_checkpoints(
         regions,
         replay_passes,
     })
+}
+
+/// [`prepare_region_checkpoints`] with no replay: each region's checkpoint
+/// is the state the slicing replay kept at its warm slice's start
+/// (`states` from [`crate::pipeline::analyze_keeping`]),
+/// byte-identical to what the checkpoint pass would snapshot there. A
+/// clone of a kept state copies no page.
+pub(crate) fn prepare_from_boundary_states(
+    analysis: &Analysis,
+    states: &[BoundaryState],
+    warmup_slices: usize,
+) -> PreparedCheckpoints {
+    let obs = lp_obs::global();
+    let mut span = obs.span("region.checkpoints", "pipeline");
+    span.arg("regions", analysis.looppoints.len());
+    span.arg("replay_passes", 0u64);
+    let checkpoint_bytes = obs.histogram("region.checkpoint_bytes");
+    let regions = analysis
+        .looppoints
+        .iter()
+        .map(|region| {
+            let (warm_idx, warm_marker) = warm_start(analysis, region, warmup_slices);
+            let checkpoint = warm_marker.map(|marker| {
+                // Slice `i` starts at the boundary that ended slice `i - 1`.
+                let at = &states[warm_idx - 1];
+                assert_eq!(at.marker, marker, "boundary states follow the profile");
+                checkpoint_bytes.record(at.state.encoded_len() as u64);
+                (at.state.clone(), own_counts(region, |pc| at.count(pc)))
+            });
+            PreparedRegion {
+                region: region.clone(),
+                checkpoint,
+            }
+        })
+        .collect();
+    PreparedCheckpoints {
+        regions,
+        replay_passes: 0,
+    }
 }
 
 /// Simulates already-prepared regions, inline or on the bounded pool (see
@@ -280,4 +339,51 @@ pub fn simulate_whole(
     let _span = lp_obs::global().span("sim.whole", "pipeline");
     lp_sim::simulate_full(program.clone(), nthreads, simcfg.clone(), DEFAULT_MAX_STEPS)
         .map_err(LoopPointError::from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::LoopPointConfig;
+    use crate::persist::encode_checkpoints;
+    use crate::pipeline::analyze_keeping;
+    use crate::testutil::{contended_program, phased_program};
+    use lp_omp::WaitPolicy;
+
+    /// The slicing replay's boundary states are the checkpoint pass's
+    /// snapshots, byte for byte, at every warm-up window.
+    #[test]
+    fn boundary_states_encode_to_the_checkpoint_pass_bytes() {
+        for program in [
+            phased_program(2, WaitPolicy::Passive, 4),
+            contended_program(2),
+        ] {
+            let cfg = LoopPointConfig::with_slice_base(500);
+            let (analysis, states) = analyze_keeping(&program, 2, &cfg, true).unwrap();
+            let slices = &analysis.profile.slices;
+            assert!(analysis.looppoints.len() >= 2, "{}", program.name());
+            assert_eq!(states.len(), slices.len() - 1, "one state per boundary");
+            let mut checkpointed = 0;
+            for window in [0, 1, 2, 3, WARMUP_SLICES, FROM_RESET] {
+                let oracle = prepare_region_checkpoints(&analysis, &program, window).unwrap();
+                let kept = prepare_from_boundary_states(&analysis, &states, window);
+                assert_eq!(kept.replay_passes, 0);
+                assert!(
+                    encode_checkpoints(&kept) == encode_checkpoints(&oracle),
+                    "{} window {window}",
+                    program.name()
+                );
+                checkpointed += kept
+                    .regions
+                    .iter()
+                    .filter(|r| r.checkpoint.is_some())
+                    .count();
+            }
+            assert!(
+                checkpointed > 0,
+                "{}: no checkpoint compared",
+                program.name()
+            );
+        }
+    }
 }

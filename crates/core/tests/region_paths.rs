@@ -128,7 +128,9 @@ fn region_without_markers_is_the_whole_program() {
 }
 
 /// `analyze_live`'s decisions and estimate on `phased_program`, taken from
-/// the commit before its detailed re-run moved onto `run_region`.
+/// the commit before its detailed re-run moved onto `run_region`. They held
+/// with a warm-up leg from one region back and with none; a re-run now
+/// starts from its own region's snapshot, which is the second.
 #[test]
 fn live_mode_reproduces_the_pinned_decisions_and_estimate() {
     const DECISIONS: [&str; 22] = [
@@ -159,21 +161,13 @@ fn live_mode_reproduces_the_pinned_decisions_and_estimate() {
 
     let program = phased_program(NTHREADS, WaitPolicy::Passive, 3);
     let simcfg = SimConfig::gainestown(NTHREADS);
-    // One region of warmup (fast-forward leg, then detail), and none (the
-    // snapshot sits on the start marker: detail only). Warm timing state
-    // rides along either way, so both land on the same estimate.
-    for warmup_regions in [1, 0] {
-        let cfg = LiveConfig {
-            warmup_regions,
-            ..LiveConfig::with_slice_base(2_000)
-        };
-        let live = analyze_live(&program, NTHREADS, &cfg, &simcfg, &mut |_| {}).unwrap();
-        assert_eq!(live.decision_log(), DECISIONS, "warmup {warmup_regions}");
-        assert_eq!(
-            live.est_total_cycles.to_bits(),
-            EST_TOTAL_CYCLES.to_bits(),
-            "warmup {warmup_regions}: {}",
-            live.est_total_cycles
-        );
-    }
+    let cfg = LiveConfig::with_slice_base(2_000);
+    let live = analyze_live(&program, NTHREADS, &cfg, &simcfg, &mut |_| {}).unwrap();
+    assert_eq!(live.decision_log(), DECISIONS);
+    assert_eq!(
+        live.est_total_cycles.to_bits(),
+        EST_TOTAL_CYCLES.to_bits(),
+        "{}",
+        live.est_total_cycles
+    );
 }

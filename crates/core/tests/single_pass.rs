@@ -1,13 +1,14 @@
 //! Single-pass checkpoint generation: equivalence with one one-marker
 //! `Pinball::checkpoints_at` replay per region, the one-replay guarantee,
 //! serial/pooled simulation determinism, and the pass budget of a cold
-//! pipeline run.
+//! pipeline run (which makes no checkpoint pass at all).
 
 use looppoint::{
     analyze, prepare_region_checkpoints, run_pipeline, simulate_prepared, LoopPointConfig,
     PreparedCheckpoints, PreparedRegion, SimOptions, WARMUP_SLICES,
 };
 use lp_omp::WaitPolicy;
+use lp_store::Store;
 use lp_uarch::SimConfig;
 use lp_workloads::{build, matrix_demo, InputClass};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -176,40 +177,66 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
 }
 
 /// The pass budget, counted: a cold pipeline run steps the program through
-/// one recording (the DCFG rides it), one replay (the slicer) and one
-/// checkpoint pass before it simulates regions.
+/// one recording (the DCFG rides it) and one replay (the slicer, which
+/// keeps every slice-boundary state) before it simulates regions — no
+/// checkpoint pass, with or without a store. Only an analysis served from
+/// the store without its checkpoints makes the one checkpoint pass.
 #[test]
-fn cold_pipeline_records_replays_and_checkpoints_once_each() {
+fn cold_pipeline_records_and_replays_once_and_makes_no_checkpoint_pass() {
     let _serial = serial();
-    // lp-pinball reports to the process-global observer; the spans of this
+    // lp-pinball reports to the process-global observer; the spans of each
     // run are told from any other's by its trace.
     let observer = lp_obs::Observer::enabled();
     lp_obs::set_global(observer.clone()).expect("no other test installs an observer");
-    let trace = lp_obs::TraceContext::new_root();
-
     let (p, n) = demo_program();
-    let cfg = demo_config().with_trace(Some(trace));
+    let (simcfg, opts) = (SimConfig::gainestown(n), SimOptions::default());
     let counter = |name: &str| observer.counter(name).get();
-    let (recorded, replayed) = (
-        counter("pinball.recorded_instructions"),
-        counter("pinball.replayed_instructions"),
-    );
-    let simcfg = SimConfig::gainestown(n);
-    let opts = SimOptions::default();
-    let run = run_pipeline(&p, n, &cfg, &simcfg, &opts, WARMUP_SLICES, None).unwrap();
-    assert!(!run.analysis_from_store && !run.checkpoints_from_store);
+    let dir = std::env::temp_dir().join(format!("lp-pass-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir, lp_obs::Observer::disabled()).unwrap();
 
-    let spans = observer.trace_events_for(trace.trace_id);
-    for pass in [
-        "pinball.record",
-        "pinball.replay",
-        "pinball.checkpoint_pass",
-    ] {
-        let opened = spans.iter().filter(|e| e.name == pass).count();
-        assert_eq!(opened, 1, "{pass} spans");
+    // Runs the pipeline under a fresh trace; returns it, its spans per pass
+    // (record, replay, checkpoint pass) and the instructions it replayed.
+    let run = |store: Option<&Store>| {
+        let trace = lp_obs::TraceContext::new_root();
+        let cfg = demo_config().with_trace(Some(trace));
+        let replayed = counter("pinball.replayed_instructions");
+        let run = run_pipeline(&p, n, &cfg, &simcfg, &opts, WARMUP_SLICES, store).unwrap();
+        let replayed = counter("pinball.replayed_instructions") - replayed;
+        let spans = observer.trace_events_for(trace.trace_id);
+        let opened = [
+            "pinball.record",
+            "pinball.replay",
+            "pinball.checkpoint_pass",
+        ]
+        .map(|pass| spans.iter().filter(|e| e.name == pass).count());
+        (run, opened, replayed)
+    };
+
+    let mut answers = Vec::new();
+    for store in [None, Some(&store)] {
+        let recorded = counter("pinball.recorded_instructions");
+        let (run, opened, replayed) = run(store);
+        assert!(!run.analysis_from_store && !run.checkpoints_from_store);
+        assert_eq!(opened, [1, 1, 0], "record, replay, checkpoint-pass spans");
+        let recorded = counter("pinball.recorded_instructions") - recorded;
+        assert_eq!(recorded, run.analysis.pinball.instructions());
+        assert_eq!(replayed, recorded, "one replay of the recording");
+        answers.push(run.summary().predicted_cycles);
     }
-    let recorded = counter("pinball.recorded_instructions") - recorded;
-    let replayed = counter("pinball.replayed_instructions") - replayed;
-    assert_eq!(recorded, run.analysis.pinball.instructions());
-    assert_eq!(replayed, recorded, "one replay of the recording");
+
+    // The analysis is cached, its checkpoints are not: one checkpoint pass.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.to_string_lossy().ends_with("-checkpoints.lpa") {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let (run, opened, replayed) = run(Some(&store));
+    assert!(run.analysis_from_store && !run.checkpoints_from_store);
+    assert_eq!(opened, [0, 0, 1], "record, replay, checkpoint-pass spans");
+    assert_eq!(replayed, 0);
+    answers.push(run.summary().predicted_cycles);
+    assert!(answers.iter().all(|&a| a == answers[0]), "{answers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,7 +10,7 @@
 use crate::addr::{Addr, Pc};
 use crate::error::MachineError;
 use crate::inst::{CtrlKind, Inst, InstClass, Reg, RegFile};
-use crate::mem::Memory;
+use crate::mem::{FrozenMemory, Memory};
 use crate::program::Program;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -104,9 +104,12 @@ pub(crate) struct ThreadCtx {
 ///
 /// This is the in-memory equivalent of a pinball's register + memory files:
 /// `lp-pinball` wraps it with the logs that make replay deterministic.
+/// Memory pages are shared, read-only, with the machine and with every
+/// other snapshot that saw the same page contents, so cloning a state
+/// copies no page.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    pub(crate) mem: Memory,
+    pub(crate) mem: FrozenMemory,
     pub(crate) threads: Vec<ThreadCtx>,
     pub(crate) futex_waiters: HashMap<u64, VecDeque<usize>>,
     pub(crate) global_seq: u64,
@@ -241,10 +244,12 @@ impl Machine {
         &mut self.mem
     }
 
-    /// Takes a restorable snapshot of the full architectural state.
+    /// Takes a restorable snapshot of the full architectural state. Costs
+    /// one 4 KiB copy per page stored to since the previous snapshot; every
+    /// other page is shared.
     pub fn snapshot(&self) -> MachineState {
         MachineState {
-            mem: self.mem.clone(),
+            mem: self.mem.freeze(),
             threads: self.threads.clone(),
             futex_waiters: self.futex_waiters.clone(),
             global_seq: self.global_seq,
@@ -256,7 +261,7 @@ impl Machine {
     pub fn from_snapshot(program: Arc<Program>, state: &MachineState) -> Self {
         Machine {
             program,
-            mem: state.mem.clone(),
+            mem: Memory::thaw(&state.mem),
             threads: state.threads.clone(),
             futex_waiters: state.futex_waiters.clone(),
             global_seq: state.global_seq,
@@ -782,6 +787,39 @@ mod tests {
         m2.run_to_completion(100).unwrap();
         assert_eq!(m2.regs(0)[Reg::R3], 77);
         assert!(m2.is_finished());
+    }
+
+    #[test]
+    fn snapshots_miss_later_stores_and_share_unchanged_pages() {
+        let mut pb = ProgramBuilder::new("t");
+        let mut c = pb.main_code();
+        c.li(Reg::R1, 1);
+        c.li(Reg::R2, 0x40);
+        c.store(Reg::R1, Reg::R2, 0);
+        c.li(Reg::R1, 2);
+        c.store(Reg::R1, Reg::R2, 0);
+        c.halt();
+        c.finish();
+        let prog = Arc::new(pb.finish());
+        let mut m = Machine::new(prog.clone(), 1);
+        for _ in 0..4 {
+            m.step(0).unwrap(); // prologue, li, li, first store
+        }
+        let first = m.snapshot();
+        let again = m.snapshot();
+        assert!(
+            first.mem.shares_every_page_with(&again.mem),
+            "no store between two snapshots: every page is shared"
+        );
+        m.run_to_completion(100).unwrap();
+        assert_eq!(m.mem().load(Addr(0x40)), 2);
+        let restored = Machine::from_snapshot(prog, &first);
+        assert_eq!(
+            restored.mem().load(Addr(0x40)),
+            1,
+            "the later store is not seen"
+        );
+        assert!(!m.snapshot().mem.shares_every_page_with(&first.mem));
     }
 
     #[test]

@@ -3,19 +3,24 @@
 use crate::addr::Addr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock};
 
 const PAGE_WORDS: usize = 512; // 4 KiB pages of 8-byte words
 const PAGE_SHIFT: u64 = 12;
 const OFF_MASK: u64 = (1 << PAGE_SHIFT) - 1;
 
+/// The words of one 4 KiB page.
+type Words = [u64; PAGE_WORDS];
+
 /// A flat 64-bit word-addressed memory, allocated lazily in 4 KiB pages.
 ///
 /// Uninitialized words read as zero, matching anonymous-mapping semantics.
-/// Cloning a `Memory` clones only the touched pages, which is what makes
-/// pinball snapshots cheap.
+/// A snapshot (`Machine::snapshot`) shares every page not stored to since
+/// the previous snapshot, so it costs one 4 KiB copy per page written in
+/// between plus a reference count per resident page.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>, BuildHasherDefault<PageHasher>>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
 }
 
 /// Hashes a page index with one multiply: every simulated load and store
@@ -44,16 +49,66 @@ impl Hasher for PageHasher {
     }
 }
 
-impl Memory {
-    /// Iterates over resident pages as `(page index, words)` (for state
-    /// serialization).
-    pub(crate) fn iter_pages(&self) -> impl Iterator<Item = (u64, &[u64; PAGE_WORDS])> {
-        self.pages.iter().map(|(&k, v)| (k, v.as_ref()))
+/// One resident page: the words loads and stores use, and beside them the
+/// immutable copy every snapshot since the page's last store shares.
+///
+/// The first snapshot after a store makes the copy, the next store drops
+/// it. A store therefore pays one plain load and one branch; it never
+/// touches a reference count or makes an atomic read-modify-write, which
+/// is what `Arc::make_mut` on the live words would cost on every store.
+#[derive(Debug, Clone)]
+struct Page {
+    words: Box<Words>,
+    frozen: OnceLock<Arc<Words>>,
+}
+
+impl Page {
+    fn zeroed() -> Self {
+        Page {
+            words: Box::new([0; PAGE_WORDS]),
+            frozen: OnceLock::new(),
+        }
+    }
+
+    /// The page's immutable copy, made now if a store dropped the last.
+    fn frozen_copy(&self) -> &Arc<Words> {
+        self.frozen.get_or_init(|| Arc::new(*self.words))
+    }
+}
+
+/// The pages of a [`Memory`] at one instant, shared with the live memory
+/// and with other snapshots wherever nothing was stored in between. Order
+/// is unspecified; serialization sorts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FrozenMemory {
+    pages: Vec<(u64, Arc<Words>)>,
+}
+
+impl FrozenMemory {
+    /// Resident pages as `(page index, words)`.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = (u64, &Words)> {
+        self.pages.iter().map(|(i, w)| (*i, w.as_ref()))
+    }
+
+    /// Number of resident pages.
+    pub(crate) fn len(&self) -> usize {
+        self.pages.len()
     }
 
     /// Installs a page wholesale (for state deserialization).
-    pub(crate) fn insert_page(&mut self, index: u64, words: Box<[u64; PAGE_WORDS]>) {
-        self.pages.insert(index, words);
+    pub(crate) fn push_page(&mut self, index: u64, words: Words) {
+        self.pages.push((index, Arc::new(words)));
+    }
+
+    /// Whether `self` and `other` hold the same pages by reference: every
+    /// page index resident in both, and each page's words one allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_every_page_with(&self, other: &FrozenMemory) -> bool {
+        self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .all(|(i, w)| other.pages.iter().any(|(j, v)| i == j && Arc::ptr_eq(w, v)))
     }
 }
 
@@ -66,11 +121,40 @@ impl Memory {
         Self::default()
     }
 
+    /// The memory's pages at this instant. Pages stored to since the last
+    /// call are copied once; every other page is shared.
+    pub(crate) fn freeze(&self) -> FrozenMemory {
+        FrozenMemory {
+            pages: self
+                .pages
+                .iter()
+                .map(|(&index, page)| (index, Arc::clone(page.frozen_copy())))
+                .collect(),
+        }
+    }
+
+    /// A live memory holding `frozen`'s pages. Each page keeps `frozen`'s
+    /// copy as its own, so a snapshot taken before the first store shares
+    /// them all.
+    pub(crate) fn thaw(frozen: &FrozenMemory) -> Self {
+        let mut pages = HashMap::with_capacity_and_hasher(frozen.len(), Default::default());
+        for (index, words) in &frozen.pages {
+            pages.insert(
+                *index,
+                Page {
+                    words: Box::new(**words),
+                    frozen: OnceLock::from(Arc::clone(words)),
+                },
+            );
+        }
+        Memory { pages }
+    }
+
     /// Reads the word at `addr` (aligned down to a word boundary).
     pub fn load(&self, addr: Addr) -> u64 {
         let a = addr.align_word().0;
         match self.pages.get(&(a >> PAGE_SHIFT)) {
-            Some(page) => page[((a & OFF_MASK) / Addr::WORD) as usize],
+            Some(page) => page.words[((a & OFF_MASK) / Addr::WORD) as usize],
             None => 0,
         }
     }
@@ -81,8 +165,10 @@ impl Memory {
         let page = self
             .pages
             .entry(a >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; PAGE_WORDS]));
-        page[((a & OFF_MASK) / Addr::WORD) as usize] = value;
+            .or_insert_with(Page::zeroed);
+        // Snapshots taken before this store keep the copy they share.
+        page.frozen.take();
+        page.words[((a & OFF_MASK) / Addr::WORD) as usize] = value;
     }
 
     /// Reads the word at `addr` as an `f64`.
@@ -148,5 +234,25 @@ mod tests {
         b.store(Addr(8), 9);
         assert_eq!(a.load(Addr(8)), 5);
         assert_eq!(b.load(Addr(8)), 9);
+    }
+
+    #[test]
+    fn only_pages_stored_to_are_copied() {
+        let mut m = Memory::new();
+        m.store(Addr(0), 1);
+        m.store(Addr(1 << 20), 2);
+        let a = m.freeze();
+        let b = m.freeze();
+        assert!(a.shares_every_page_with(&b), "no store in between");
+        m.store(Addr(8), 3);
+        let c = m.freeze();
+        let shared = |x: &FrozenMemory, y: &FrozenMemory, page: u64| {
+            let find = |f: &FrozenMemory| f.pages.iter().find(|p| p.0 == page).cloned();
+            Arc::ptr_eq(&find(x).unwrap().1, &find(y).unwrap().1)
+        };
+        assert!(!shared(&b, &c, 0), "the page stored to is a new copy");
+        assert!(shared(&b, &c, 1 << 8), "the other page is shared");
+        // A thawed memory starts out sharing the snapshot it came from.
+        assert!(Memory::thaw(&c).freeze().shares_every_page_with(&c));
     }
 }

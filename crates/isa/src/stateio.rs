@@ -12,7 +12,7 @@
 use crate::addr::Pc;
 use crate::inst::{Reg, RegFile};
 use crate::machine::{MachineState, ThreadCtx, ThreadState};
-use crate::mem::{Memory, MEM_PAGE_WORDS};
+use crate::mem::{FrozenMemory, MEM_PAGE_WORDS};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 
@@ -53,7 +53,7 @@ impl MachineState {
         put_u32(w, VERSION)?;
 
         // Memory pages, sorted for deterministic output.
-        let mut pages: Vec<(u64, &[u64; MEM_PAGE_WORDS])> = self.mem.iter_pages().collect();
+        let mut pages: Vec<(u64, &[u64; MEM_PAGE_WORDS])> = self.mem.pages().collect();
         pages.sort_by_key(|&(i, _)| i);
         put_u64(w, pages.len() as u64)?;
         for (index, words) in pages {
@@ -109,7 +109,7 @@ impl MachineState {
         let n_regs = Reg::all().count();
         let mut n = MAGIC.len() + 4; // magic + version
                                      // Memory pages: count + per page (index + words).
-        n += 8 + self.mem.iter_pages().count() * (8 + MEM_PAGE_WORDS * 8);
+        n += 8 + self.mem.len() * (8 + MEM_PAGE_WORDS * 8);
         // Threads.
         n += 4;
         for t in &self.threads {
@@ -146,15 +146,15 @@ impl MachineState {
             return Err(bad("unsupported machine-state version"));
         }
 
-        let mut mem = Memory::new();
+        let mut mem = FrozenMemory::default();
         let npages = get_u64(r)?;
         for _ in 0..npages {
             let index = get_u64(r)?;
-            let mut words = Box::new([0u64; MEM_PAGE_WORDS]);
+            let mut words = [0u64; MEM_PAGE_WORDS];
             for slot in words.iter_mut() {
                 *slot = get_u64(r)?;
             }
-            mem.insert_page(index, words);
+            mem.push_page(index, words);
         }
 
         let nthreads = get_u32(r)? as usize;
@@ -264,6 +264,24 @@ mod tests {
         let mut bytes = Vec::new();
         state.write_to(&mut bytes).unwrap();
         let restored = MachineState::read_from(&mut bytes.as_slice()).unwrap();
+        // The bytes are the format's, whatever shares the pages: a read
+        // state and a state re-taken from a restored machine write them
+        // back exactly.
+        let rewrite = |s: &MachineState| {
+            let mut out = Vec::new();
+            s.write_to(&mut out).unwrap();
+            out
+        };
+        assert_eq!(rewrite(&restored), bytes);
+        assert_eq!(
+            rewrite(&Machine::from_snapshot(p.clone(), &state).snapshot()),
+            bytes
+        );
+        // FNV-1a of the encoding, pinned from before snapshots shared pages.
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (4428, 8_899_430_396_218_668_714));
 
         let mut a = Machine::from_snapshot(p.clone(), &state);
         let mut b = Machine::from_snapshot(p, &restored);

@@ -1,5 +1,6 @@
 //! Execution observers: the Pin-tool analogue.
 
+use crate::replay::Replayer;
 use lp_isa::Retired;
 
 /// Receives every retired instruction of an execution.
@@ -23,6 +24,16 @@ pub trait ExecObserver {
     /// Called once per retired instruction, in the pass's global
     /// retirement order.
     fn on_retire(&mut self, r: &Retired);
+
+    /// What [`Pinball::replay`](crate::Pinball::replay) calls in place of
+    /// [`ExecObserver::on_retire`]: the same retirement, plus the replayer
+    /// already past it, so an observer can
+    /// [`snapshot`](Replayer::snapshot) the machine right after any
+    /// retirement of the one replay. Defaults to `on_retire`.
+    fn on_replayed(&mut self, r: &Retired, replayer: &Replayer<'_>) {
+        let _ = replayer;
+        self.on_retire(r);
+    }
 }
 
 /// Adapts a closure into an [`ExecObserver`].

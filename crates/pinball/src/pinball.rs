@@ -296,7 +296,8 @@ impl Pinball {
         Replayer::from_state(program, &self.start, &self.events, 0, self.nthreads)
     }
 
-    /// Replays the whole pinball, feeding every retirement to `observers`.
+    /// Replays the whole pinball, feeding every retirement to `observers`
+    /// through [`ExecObserver::on_replayed`].
     ///
     /// # Errors
     /// Replay divergence, machine faults, or budget exhaustion.
@@ -313,11 +314,11 @@ impl Pinball {
             per_thread: vec![0; self.nthreads],
             ..Default::default()
         };
-        rep.drive(|r, _| {
+        rep.drive(|r, rep| {
             stats.instructions += 1;
             stats.per_thread[r.tid] += 1;
             for obs in observers.iter_mut() {
-                obs.on_retire(r);
+                obs.on_replayed(r, rep);
             }
             stats.instructions > max_steps
         })?;

@@ -17,9 +17,9 @@ use lp_uarch::{BranchPredictor, CacheLevel, MemoryHierarchy, SimConfig};
 ///
 /// `Clone` captures the complete microarchitectural state — core clocks,
 /// cache hierarchy contents, branch-predictor tables — so a simulator can
-/// be forked *warm* (see `Simulator::from_machine_warm`): the live-mode
-/// snapshot ring pairs one of these with a functional `MachineState` to
-/// rewind a region without losing cache warmth.
+/// be forked *warm* (see `Simulator::from_machine_warm`): live mode pairs
+/// one of these with a functional `MachineState` at each region start, so
+/// a detailed re-run of the region keeps the pass's cache warmth.
 #[derive(Debug, Clone)]
 pub struct TimingModel {
     cfg: SimConfig,
