@@ -80,6 +80,19 @@ passes = c.get("pinball.checkpoint_replays", 0)
 assert passes == 0, f"{passes} checkpoint passes"
 print(f"store-smoke: cold run recorded {recorded} instructions, replayed them once, no checkpoint pass")
 PY
+# Chained regions, as counts: this config's looppoints all lie within two
+# slices of each other, so they form one chain on one simulator, which
+# fast-forwards once and far less than the program (7 segments and 104 422
+# instructions against 69 161 recorded when each region warmed on its own).
+python3 - "$STORE_METRICS" <<'PY' || { echo "store-smoke: regions not chained" >&2; exit 1; }
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+segments, ff = c.get("sim.ff.segments", 0), c.get("sim.ff.instructions", 0)
+recorded = c["pinball.recorded_instructions"]
+assert segments == 1, f"{segments} fast-forward segments"
+assert ff < recorded / 4, f"fast-forwarded {ff} of {recorded} recorded instructions"
+print(f"store-smoke: one chain, {ff} instructions fast-forwarded of {recorded} recorded")
+PY
 COLD_ERR=$(grep 'runtime error' "$STORE_LOG")
 # The directory is the store's only index, checked by exact count: the
 # five containers of this config and nothing beside them (no index, lock
@@ -95,16 +108,18 @@ WARM_ERR=$(grep 'runtime error' "$STORE_LOG")
 [ "$COLD_ERR" = "$WARM_ERR" ] || { echo "store-smoke: warm result differs from cold ($COLD_ERR vs $WARM_ERR)" >&2; exit 1; }
 [ "$(ls -A "$STORE_DIR")" = "$COLD_FILES" ] || { ls -A "$STORE_DIR" >&2; echo "store-smoke: warm run changed the store's file set" >&2; exit 1; }
 # Checkpoints gone, analysis cached: the one path that still makes a
-# checkpoint pass, and it must land on the cold run's answer.
+# checkpoint pass, and it must land on the cold run's answer. This
+# config's one chain starts from reset, so its rebuilt checkpoints need no
+# pass at all (the config with checkpointed chain heads follows below).
 rm "$STORE_DIR"/*-checkpoints.lpa
 "${RUNNER[@]}" -p demo-matrix-1 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" \
   --metrics-out "$STORE_METRICS" > "$STORE_LOG" 2>&1 \
   || { cat "$STORE_LOG" >&2; echo "store-smoke: checkpoint-less run failed" >&2; exit 1; }
 grep -q 'analysis served from the artifact store' "$STORE_LOG" || { echo "store-smoke: checkpoint-less run did not hit the analysis" >&2; exit 1; }
-python3 - "$STORE_METRICS" <<'PY' || { echo "store-smoke: checkpoint-less run should make one checkpoint pass" >&2; exit 1; }
+python3 - "$STORE_METRICS" 0 <<'PY' || { echo "store-smoke: checkpoint-less run made the wrong number of checkpoint passes" >&2; exit 1; }
 import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
-assert c.get("pinball.checkpoint_replays", 0) == 1, c.get("pinball.checkpoint_replays", 0)
+assert c.get("pinball.checkpoint_replays", 0) == int(sys.argv[2]), c.get("pinball.checkpoint_replays", 0)
 PY
 [ "$(grep 'runtime error' "$STORE_LOG")" = "$COLD_ERR" ] || { echo "store-smoke: checkpoint-less result differs from cold" >&2; exit 1; }
 # Corrupt one cached artifact in place (flip a mid-file byte) and re-run.
@@ -118,6 +133,24 @@ grep -Eq 'store: .* 1 corruptions' "$STORE_LOG" || { echo "store-smoke: store.co
 ls "$STORE_DIR"/*.corrupt >/dev/null 2>&1 || { echo "store-smoke: no quarantined file" >&2; exit 1; }
 RECOVERED_ERR=$(grep 'runtime error' "$STORE_LOG")
 [ "$COLD_ERR" = "$RECOVERED_ERR" ] || { echo "store-smoke: recovery result differs from cold" >&2; exit 1; }
+rm -rf "$STORE_DIR"
+# The checkpoint-less path where chain heads carry checkpoints
+# (demo-matrix-3: three chains): exactly one checkpoint pass, and the cold
+# run's answer.
+"${RUNNER[@]}" -p demo-matrix-3 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" > "$STORE_LOG" 2>&1 \
+  || { cat "$STORE_LOG" >&2; echo "store-smoke: demo-matrix-3 cold run failed" >&2; exit 1; }
+COLD_ERR=$(grep 'runtime error' "$STORE_LOG")
+rm "$STORE_DIR"/*-checkpoints.lpa
+"${RUNNER[@]}" -p demo-matrix-3 -n 2 --slice-base 4000 --store-dir "$STORE_DIR" \
+  --metrics-out "$STORE_METRICS" > "$STORE_LOG" 2>&1 \
+  || { cat "$STORE_LOG" >&2; echo "store-smoke: demo-matrix-3 checkpoint-less run failed" >&2; exit 1; }
+grep -q 'analysis served from the artifact store' "$STORE_LOG" || { echo "store-smoke: demo-matrix-3 checkpoint-less run did not hit the analysis" >&2; exit 1; }
+python3 - "$STORE_METRICS" 1 <<'PY' || { echo "store-smoke: demo-matrix-3 checkpoint-less run should make one checkpoint pass" >&2; exit 1; }
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c.get("pinball.checkpoint_replays", 0) == int(sys.argv[2]), c.get("pinball.checkpoint_replays", 0)
+PY
+[ "$(grep 'runtime error' "$STORE_LOG")" = "$COLD_ERR" ] || { echo "store-smoke: demo-matrix-3 checkpoint-less result differs from cold" >&2; exit 1; }
 rm -rf "$STORE_DIR"
 
 echo "== help-smoke (generated help) =="

@@ -92,6 +92,7 @@ mod tests {
         RegionResult {
             region: region(mult),
             stats,
+            continues: false,
         }
     }
 

@@ -38,8 +38,9 @@ use std::sync::Arc;
 
 /// Bumped whenever any payload encoding below changes shape. Folded into
 /// the store key, so old artifacts become unreachable rather than
-/// mis-decoded. (v2: clustering carries per-point centroid distances.)
-const PERSIST_VERSION: u64 = 2;
+/// mis-decoded. (v2: clustering carries per-point centroid distances; v3:
+/// checkpoints mark regions that continue a chain.)
+const PERSIST_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Store keys
@@ -474,7 +475,8 @@ pub fn decode_analysis_meta(
     Ok((dcfg, looppoints))
 }
 
-/// Encodes prepared region checkpoints. `replay_passes` is *not* stored:
+/// Encodes prepared region checkpoints, one tag per region: 0 from reset,
+/// 1 a checkpoint, 2 continuing a chain. `replay_passes` is *not* stored:
 /// a warm load performs zero replays by definition.
 pub fn encode_checkpoints(prepared: &PreparedCheckpoints) -> Vec<u8> {
     let mut out = Vec::new();
@@ -482,8 +484,9 @@ pub fn encode_checkpoints(prepared: &PreparedCheckpoints) -> Vec<u8> {
     for p in &prepared.regions {
         put_looppoint(&mut out, &p.region);
         match &p.checkpoint {
-            None => out.push(0),
+            None => out.push(if p.continues { 2 } else { 0 }),
             Some((state, counts)) => {
+                assert!(!p.continues, "a continuing region carries no checkpoint");
                 out.push(1);
                 let mut state_bytes = Vec::with_capacity(state.encoded_len());
                 state
@@ -509,8 +512,9 @@ pub fn decode_checkpoints(bytes: &[u8]) -> DecodeResult<PreparedCheckpoints> {
     let mut regions = Vec::with_capacity(n);
     for _ in 0..n {
         let region = read_looppoint(&mut r)?;
-        let checkpoint = match r.u8()? {
-            0 => None,
+        let tag = r.u8()?;
+        let checkpoint = match tag {
+            0 | 2 => None,
             1 => {
                 let len = r.len(1)?;
                 let state_bytes = r.take(len)?;
@@ -527,7 +531,11 @@ pub fn decode_checkpoints(bytes: &[u8]) -> DecodeResult<PreparedCheckpoints> {
             }
             t => return Err(format!("bad checkpoint tag {t}")),
         };
-        regions.push(PreparedRegion { region, checkpoint });
+        regions.push(PreparedRegion {
+            region,
+            checkpoint,
+            continues: tag == 2,
+        });
     }
     r.finish()?;
     Ok(PreparedCheckpoints {
@@ -878,6 +886,44 @@ mod tests {
         assert!(decode_profile(&encoded[0][..encoded[0].len() - 1]).is_err());
         assert!(decode_clustering(&encoded[1][..encoded[1].len() - 1]).is_err());
         assert!(decode_analysis_meta(&encoded[2][..encoded[2].len() - 1], &program).is_err());
+    }
+
+    /// Checkpoints round-trip with all three region tags — from reset (0),
+    /// checkpoint (1), continuing a chain (2) — and an unknown tag is
+    /// refused.
+    #[test]
+    fn checkpoints_roundtrip_every_tag() {
+        let program = test_program();
+        let analysis = analyze(&program, 2, &fast_config()).unwrap();
+        let mut tags = [false; 3];
+        for window in [0, 2, crate::FROM_RESET] {
+            let prepared = crate::prepare_region_checkpoints(&analysis, &program, window).unwrap();
+            let bytes = encode_checkpoints(&prepared);
+            let decoded = decode_checkpoints(&bytes).unwrap();
+            assert_eq!(encode_checkpoints(&decoded), bytes, "window {window}");
+            for (a, b) in prepared.regions.iter().zip(&decoded.regions) {
+                assert_eq!(a.continues, b.continues);
+                assert_eq!(a.checkpoint.is_some(), b.checkpoint.is_some());
+                tags[match (&a.checkpoint, a.continues) {
+                    (Some(_), _) => 1,
+                    (None, false) => 0,
+                    (None, true) => 2,
+                }] = true;
+            }
+        }
+        assert_eq!(tags, [true; 3], "every tag encoded");
+        let prepared = crate::prepare_region_checkpoints(&analysis, &program, 2).unwrap();
+        let mut one = PreparedCheckpoints {
+            regions: prepared.regions[..1].to_vec(),
+            replay_passes: 0,
+        };
+        one.regions[0].checkpoint = None;
+        let mut bytes = encode_checkpoints(&one);
+        *bytes.last_mut().unwrap() = 3;
+        assert_eq!(
+            decode_checkpoints(&bytes).err().as_deref(),
+            Some("bad checkpoint tag 3")
+        );
     }
 
     /// A count the payload cannot hold is refused by the length check

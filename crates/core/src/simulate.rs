@@ -3,6 +3,12 @@
 //! (a checkpoint `warmup_slices` slices back, or program start) and
 //! [`simulate_prepared`] warms up and simulates from there. Binary-driven
 //! simulation is the [`FROM_RESET`] window of the same path.
+//!
+//! Regions whose warm-up windows overlap run as one *chain*: sorted by
+//! slice, a region whose window reaches back to where the region before
+//! it ended continues on that region's simulator, fast-forwarding only the
+//! gap, instead of restoring a checkpoint and fast-forwarding the same
+//! slices again. Only a chain's head carries a checkpoint.
 
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
@@ -62,15 +68,21 @@ impl SimOptions {
     }
 }
 
-/// A region paired with its optional checkpoint payload.
+/// A region paired with where its simulation starts: its checkpoint,
+/// program reset, or the end of the region before it in slice order.
 #[derive(Debug, Clone)]
 pub struct PreparedRegion {
     /// The region to simulate.
     pub region: LoopPointRegion,
     /// Snapshotted machine state at the warmup marker plus the global
-    /// `(PC, count)` watch counts at that point; `None` when the region
-    /// starts near program begin and is simulated from reset.
+    /// `(PC, count)` watch counts at that point, of every marker PC of the
+    /// region's chain; `None` when the region continues another or starts
+    /// near program begin and is simulated from reset.
     pub checkpoint: Option<(MachineState, Vec<(Pc, u64)>)>,
+    /// Whether the region continues the chain of the region before it in
+    /// slice order: that region ends at or after this one's warm slice, so
+    /// this one runs on its simulator and carries no checkpoint.
+    pub continues: bool,
 }
 
 /// Region checkpoints ready for simulation, plus accounting of what their
@@ -91,8 +103,12 @@ pub struct PreparedCheckpoints {
 pub struct RegionResult {
     /// The region that was simulated.
     pub region: LoopPointRegion,
-    /// Region statistics (with warmup accounting in the `ff_*` fields).
+    /// Region statistics (with the region's own warmup in the `ff_*`
+    /// fields).
     pub stats: SimStats,
+    /// Whether the region ran on the simulator of the region before it in
+    /// slice order ([`PreparedRegion::continues`]).
+    pub continues: bool,
 }
 
 /// The start marker of the slice `warmup_slices` before `region`'s, where
@@ -106,28 +122,93 @@ fn warm_start(
     (warm_idx, analysis.profile.slices[warm_idx].start)
 }
 
-/// The watch counts a region's checkpoint carries: the global execution
-/// count at the checkpoint of each of the region's own start/end PCs.
-fn own_counts(region: &LoopPointRegion, count: impl Fn(Pc) -> u64) -> Vec<(Pc, u64)> {
-    let mut own: Vec<(Pc, u64)> = Vec::new();
-    for m in [region.start, region.end].into_iter().flatten() {
-        if own.iter().all(|&(pc, _)| pc != m.pc) {
-            own.push((m.pc, count(m.pc)));
+/// Region indices grouped into chains, each in slice order and the chains
+/// by their head's slice: `joins(prev, next)` says whether region `next`
+/// continues the chain whose last region is `prev`.
+fn chains(
+    regions: usize,
+    slice_of: impl Fn(usize) -> usize,
+    joins: impl Fn(usize, usize) -> bool,
+) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..regions).collect();
+    order.sort_by_key(|&i| slice_of(i));
+    let mut chains: Vec<Vec<usize>> = Vec::new();
+    for i in order {
+        match chains.last_mut() {
+            Some(chain) if joins(chain[chain.len() - 1], i) => chain.push(i),
+            _ => chains.push(vec![i]),
         }
     }
-    own
+    chains
 }
 
-/// Builds the per-region checkpoints, taken `warmup_slices` slices before
-/// each region's start marker, in a **single pinball replay** regardless
-/// of region count ([`WARMUP_SLICES`] is the paper's deployment,
-/// [`FROM_RESET`] replays nothing).
+/// The looppoints' chains at `warmup_slices`: a region continues the one
+/// before it in slice order when that one has an end marker and ends at or
+/// after this one's warm slice.
+fn looppoint_chains(analysis: &Analysis, warmup_slices: usize) -> Vec<Vec<usize>> {
+    let lps = &analysis.looppoints;
+    chains(
+        lps.len(),
+        |i| lps[i].slice_index,
+        |prev, next| {
+            let (prev, next) = (&lps[prev], &lps[next]);
+            prev.end.is_some()
+                && prev.slice_index + 1 >= next.slice_index.saturating_sub(warmup_slices)
+        },
+    )
+}
+
+/// The watch counts a chain head's checkpoint carries: the global
+/// execution count at the checkpoint of each start/end PC of the chain's
+/// regions, in chain order.
+fn chain_counts<'a>(
+    chain: impl IntoIterator<Item = &'a LoopPointRegion>,
+    count: impl Fn(Pc) -> u64,
+) -> Vec<(Pc, u64)> {
+    let mut counts: Vec<(Pc, u64)> = Vec::new();
+    for m in chain.into_iter().flat_map(|r| [r.start, r.end]).flatten() {
+        if counts.iter().all(|&(pc, _)| pc != m.pc) {
+            counts.push((m.pc, count(m.pc)));
+        }
+    }
+    counts
+}
+
+/// The prepared regions, in looppoint order: each chain's head takes
+/// `checkpoint(chain)` (`chain` as looppoint indices, head first), every
+/// other region continues.
+fn prepare_chains(
+    analysis: &Analysis,
+    chains: &[Vec<usize>],
+    mut checkpoint: impl FnMut(&[usize]) -> Option<(MachineState, Vec<(Pc, u64)>)>,
+) -> Vec<PreparedRegion> {
+    let mut regions: Vec<PreparedRegion> = analysis
+        .looppoints
+        .iter()
+        .map(|region| PreparedRegion {
+            region: region.clone(),
+            checkpoint: None,
+            continues: true,
+        })
+        .collect();
+    for chain in chains {
+        let head = &mut regions[chain[0]];
+        head.continues = false;
+        head.checkpoint = checkpoint(chain);
+    }
+    regions
+}
+
+/// Builds the region checkpoints, taken `warmup_slices` slices before
+/// each chain head's start marker, in a **single pinball replay**
+/// regardless of region count ([`WARMUP_SLICES`] is the paper's
+/// deployment, [`FROM_RESET`] replays nothing and makes every region one
+/// chain from reset).
 ///
-/// Regions are sorted by warmup-marker position into a multi-marker agenda
-/// and batched through [`lp_pinball::Pinball::checkpoints_at`]; each
-/// region's watch counts are filtered back down to its own start/end PCs,
-/// so the prepared payloads are byte-identical to k one-marker
-/// `checkpoints_at` calls. Snapshot sizes are recorded into the
+/// Chain heads' warmup markers are batched into a multi-marker agenda
+/// through [`lp_pinball::Pinball::checkpoints_at`], which watches the union
+/// of all regions' start/end PCs; each head's watch counts are filtered
+/// back down to its own chain's PCs. Snapshot sizes are recorded into the
 /// `region.checkpoint_bytes` histogram.
 ///
 /// A cold [`crate::run_pipeline`] does not call this: its slicing replay
@@ -146,20 +227,17 @@ pub fn prepare_region_checkpoints(
     let mut span = obs.span("region.checkpoints", "pipeline");
     span.arg("regions", analysis.looppoints.len());
 
-    // Warmup marker per region, plus the union of watch PCs (watch counts
-    // are *global* execution counts, so the union pass produces the same
-    // values any per-region watch list would see).
+    // Warmup marker per chain head, plus the union of watch PCs (watch
+    // counts are *global* execution counts, so the union pass produces the
+    // same values any per-chain watch list would see).
+    let chains = looppoint_chains(analysis, warmup_slices);
     let mut markers: Vec<Marker> = Vec::new();
-    let mut marker_slots: Vec<Option<usize>> = Vec::with_capacity(analysis.looppoints.len());
+    for chain in &chains {
+        let head = &analysis.looppoints[chain[0]];
+        markers.extend(warm_start(analysis, head, warmup_slices).1);
+    }
     let mut watch: Vec<Pc> = Vec::new();
     for region in &analysis.looppoints {
-        match warm_start(analysis, region, warmup_slices).1 {
-            None => marker_slots.push(None), // near program start: from reset
-            Some(marker) => {
-                marker_slots.push(Some(markers.len()));
-                markers.push(marker);
-            }
-        }
         for m in [region.start, region.end].into_iter().flatten() {
             if !watch.contains(&m.pc) {
                 watch.push(m.pc);
@@ -174,31 +252,24 @@ pub fn prepare_region_checkpoints(
     span.arg("replay_passes", replay_passes);
 
     let checkpoint_bytes = obs.histogram("region.checkpoint_bytes");
-    let regions = analysis
-        .looppoints
-        .iter()
-        .zip(&marker_slots)
-        .map(|(region, slot)| {
-            let checkpoint = slot.map(|i| {
-                let (ckpt, counts) = &batch[i];
-                checkpoint_bytes.record(ckpt.state().encoded_len() as u64);
-                (ckpt.state().clone(), own_counts(region, |pc| counts[&pc]))
-            });
-            PreparedRegion {
-                region: region.clone(),
-                checkpoint,
-            }
-        })
-        .collect();
+    let mut batch = batch.iter();
+    let regions = prepare_chains(analysis, &chains, |chain| {
+        let head = &analysis.looppoints[chain[0]];
+        warm_start(analysis, head, warmup_slices).1?;
+        let (ckpt, counts) = batch.next().expect("one checkpoint per warm marker");
+        checkpoint_bytes.record(ckpt.state().encoded_len() as u64);
+        let chain = chain.iter().map(|&i| &analysis.looppoints[i]);
+        Some((ckpt.state().clone(), chain_counts(chain, |pc| counts[&pc])))
+    });
     Ok(PreparedCheckpoints {
         regions,
         replay_passes,
     })
 }
 
-/// [`prepare_region_checkpoints`] with no replay: each region's checkpoint
-/// is the state the slicing replay kept at its warm slice's start
-/// (`states` from [`crate::pipeline::analyze_keeping`]),
+/// [`prepare_region_checkpoints`] with no replay: each chain head's
+/// checkpoint is the state the slicing replay kept at its warm slice's
+/// start (`states` from [`crate::pipeline::analyze_keeping`]),
 /// byte-identical to what the checkpoint pass would snapshot there. A
 /// clone of a kept state copies no page.
 pub(crate) fn prepare_from_boundary_states(
@@ -211,35 +282,32 @@ pub(crate) fn prepare_from_boundary_states(
     span.arg("regions", analysis.looppoints.len());
     span.arg("replay_passes", 0u64);
     let checkpoint_bytes = obs.histogram("region.checkpoint_bytes");
-    let regions = analysis
-        .looppoints
-        .iter()
-        .map(|region| {
-            let (warm_idx, warm_marker) = warm_start(analysis, region, warmup_slices);
-            let checkpoint = warm_marker.map(|marker| {
-                // Slice `i` starts at the boundary that ended slice `i - 1`.
-                let at = &states[warm_idx - 1];
-                assert_eq!(at.marker, marker, "boundary states follow the profile");
-                checkpoint_bytes.record(at.state.encoded_len() as u64);
-                (at.state.clone(), own_counts(region, |pc| at.count(pc)))
-            });
-            PreparedRegion {
-                region: region.clone(),
-                checkpoint,
-            }
-        })
-        .collect();
+    let chains = looppoint_chains(analysis, warmup_slices);
+    let regions = prepare_chains(analysis, &chains, |chain| {
+        let head = &analysis.looppoints[chain[0]];
+        let (warm_idx, warm_marker) = warm_start(analysis, head, warmup_slices);
+        let marker = warm_marker?;
+        // Slice `i` starts at the boundary that ended slice `i - 1`.
+        let at = &states[warm_idx - 1];
+        assert_eq!(at.marker, marker, "boundary states follow the profile");
+        checkpoint_bytes.record(at.state.encoded_len() as u64);
+        let chain = chain.iter().map(|&i| &analysis.looppoints[i]);
+        Some((at.state.clone(), chain_counts(chain, |pc| at.count(pc))))
+    });
     PreparedCheckpoints {
         regions,
         replay_passes: 0,
     }
 }
 
-/// Simulates already-prepared regions, inline or on the bounded pool (see
-/// [`SimOptions::pool_size`]): each region restores its checkpoint (or
-/// starts from reset), fast-forwards through its warm-up window, and runs
-/// detailed to its end marker. Split from [`prepare_region_checkpoints`]
-/// so checkpoint construction and simulation can be timed and cached
+/// Simulates already-prepared regions chain by chain, inline or on the
+/// bounded pool (see [`SimOptions::pool_size`]): each chain's head
+/// restores its checkpoint (or starts from reset), fast-forwards through
+/// its warm-up window and runs detailed to its end marker; each region
+/// continuing the chain fast-forwards the gap from there and runs
+/// detailed in turn. Results come back in looppoint order and do not
+/// depend on the pool width. Split from [`prepare_region_checkpoints`] so
+/// checkpoint construction and simulation can be timed and cached
 /// separately, and one preparation can feed several machines.
 ///
 /// # Errors
@@ -276,38 +344,49 @@ pub(crate) fn simulate_prepared_with_cancel(
     opts: &SimOptions,
     cancel: &crate::CancelToken,
 ) -> Result<Vec<RegionResult>, LoopPointError> {
-    let run_one = |p: &PreparedRegion| -> Result<RegionResult, LoopPointError> {
-        cancel.check()?;
-        let stats = simulate_prepared_region(p, program, nthreads, simcfg, opts)?;
-        Ok(RegionResult {
-            region: p.region.clone(),
-            stats,
-        })
+    let regions = &prepared.regions;
+    let chains = chains(
+        regions.len(),
+        |i| regions[i].region.slice_index,
+        |_, next| regions[next].continues,
+    );
+    let run_chain = |chain: &Vec<usize>| {
+        let chain: Vec<&PreparedRegion> = chain.iter().map(|&i| &regions[i]).collect();
+        simulate_chain(&chain, program, nthreads, simcfg, opts, cancel)
     };
-    if opts.pool_size <= 1 {
-        return prepared.regions.iter().map(run_one).collect();
+    let per_chain = if opts.pool_size <= 1 {
+        chains
+            .iter()
+            .map(run_chain)
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        pool::run_cancelable(&chains, opts.pool_size, run_chain)?
+    };
+    let mut results: Vec<Option<RegionResult>> = vec![None; regions.len()];
+    for (chain, chain_results) in chains.iter().zip(per_chain) {
+        for (&i, result) in chain.iter().zip(chain_results) {
+            results[i] = Some(result);
+        }
     }
-    pool::run_cancelable(&prepared.regions, opts.pool_size, run_one)
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("every region is in one chain"))
+        .collect())
 }
 
-/// Simulates one region: restore its checkpoint (or start from reset when
-/// it has none), seed the marker counts the checkpoint carries, then
-/// [`Simulator::run_region`].
-fn simulate_prepared_region(
-    p: &PreparedRegion,
+/// Simulates one chain on one simulator: restore the head's checkpoint
+/// (or start from reset), seed every marker count of the chain, then one
+/// [`Simulator::run_region`] per region. With warmup off (the cold-start
+/// ablation) each continuing region starts from cold timing state.
+fn simulate_chain(
+    chain: &[&PreparedRegion],
     program: &Arc<Program>,
     nthreads: usize,
     simcfg: &SimConfig,
     opts: &SimOptions,
-) -> Result<SimStats, SimError> {
-    let region = &p.region;
-    let obs = lp_obs::global();
-    let mut span = obs.span("region.sim", "pipeline");
-    span.arg("cluster", region.cluster);
-    span.arg("slice_index", region.slice_index);
-    span.arg("multiplier", region.multiplier);
-    span.arg("checkpointed", u64::from(p.checkpoint.is_some()));
-    let mut sim = match &p.checkpoint {
+    cancel: &crate::CancelToken,
+) -> Result<Vec<RegionResult>, LoopPointError> {
+    let mut sim = match &chain[0].checkpoint {
         None => Simulator::new(program.clone(), nthreads, simcfg.clone()),
         Some((state, counts)) => {
             let machine = lp_isa::Machine::from_snapshot(program.clone(), state);
@@ -318,8 +397,49 @@ fn simulate_prepared_region(
             sim
         }
     };
+    // Markers are counted from the head on, before any of them is crossed.
+    for m in chain
+        .iter()
+        .flat_map(|p| [p.region.start, p.region.end])
+        .flatten()
+    {
+        sim.watch_pc(m.pc);
+    }
     sim.set_ff_warming(opts.warmup);
-    let stats = sim.run_region(region.start, region.end, opts.max_steps)?;
+    let mut results = Vec::with_capacity(chain.len());
+    for (i, p) in chain.iter().enumerate() {
+        cancel.check()?;
+        if i > 0 && !opts.warmup {
+            sim.reset_timing();
+        }
+        let stats = simulate_region(&mut sim, p, opts)?;
+        results.push(RegionResult {
+            region: p.region.clone(),
+            stats,
+            continues: i > 0,
+        });
+    }
+    Ok(results)
+}
+
+/// Runs one region on `sim` with [`Simulator::run_region`]. A simulator
+/// standing on the start marker — a window-0 checkpoint, or the previous
+/// region's end — begins the detailed segment where it stands.
+fn simulate_region(
+    sim: &mut Simulator,
+    p: &PreparedRegion,
+    opts: &SimOptions,
+) -> Result<SimStats, SimError> {
+    let region = &p.region;
+    let obs = lp_obs::global();
+    let mut span = obs.span("region.sim", "pipeline");
+    span.arg("cluster", region.cluster);
+    span.arg("slice_index", region.slice_index);
+    span.arg("multiplier", region.multiplier);
+    span.arg("checkpointed", u64::from(p.checkpoint.is_some()));
+    span.arg("continues", u64::from(p.continues));
+    let start = region.start.filter(|m| sim.watch_count(m.pc) != m.count);
+    let stats = sim.run_region(start, region.end, opts.max_steps)?;
     span.arg("instructions", stats.instructions);
     span.arg("cycles", stats.cycles);
     obs.counter("region.sims").inc();
@@ -363,6 +483,7 @@ mod tests {
             let slices = &analysis.profile.slices;
             assert!(analysis.looppoints.len() >= 2, "{}", program.name());
             assert_eq!(states.len(), slices.len() - 1, "one state per boundary");
+            let simcfg = SimConfig::gainestown(2);
             let mut checkpointed = 0;
             for window in [0, 1, 2, 3, WARMUP_SLICES, FROM_RESET] {
                 let oracle = prepare_region_checkpoints(&analysis, &program, window).unwrap();
@@ -373,6 +494,11 @@ mod tests {
                     "{} window {window}",
                     program.name()
                 );
+                // Every window simulates, window 0 (each head's checkpoint
+                // on its own start marker) included.
+                let results =
+                    simulate_prepared(&kept, &program, 2, &simcfg, &SimOptions::default());
+                assert_eq!(results.unwrap().len(), analysis.looppoints.len());
                 checkpointed += kept
                     .regions
                     .iter()

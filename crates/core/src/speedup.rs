@@ -18,7 +18,9 @@ pub struct SpeedupReport {
     /// Measured wall-clock reduction, regions back-to-back (including
     /// their fast-forward warmup cost).
     pub actual_serial: f64,
-    /// Measured wall-clock reduction with concurrent regions.
+    /// Measured wall-clock reduction with concurrent chains: the regions
+    /// of a chain run one after another on one simulator, so the longest
+    /// chain bounds it.
     pub actual_parallel: f64,
 }
 
@@ -35,7 +37,16 @@ pub fn speedups(analysis: &Analysis, results: &[RegionResult], full: &SimStats) 
     let full_wall = full.wall.as_secs_f64();
     let region_wall = |r: &RegionResult| (r.stats.wall + r.stats.ff_wall).as_secs_f64();
     let sum_wall: f64 = results.iter().map(region_wall).sum();
-    let max_wall = results.iter().map(region_wall).fold(0.0, f64::max);
+    let mut by_slice: Vec<&RegionResult> = results.iter().collect();
+    by_slice.sort_by_key(|r| r.region.slice_index);
+    let mut chain_walls: Vec<f64> = Vec::new();
+    for r in by_slice {
+        match chain_walls.last_mut() {
+            Some(wall) if r.continues => *wall += region_wall(r),
+            _ => chain_walls.push(region_wall(r)),
+        }
+    }
+    let max_wall = chain_walls.into_iter().fold(0.0, f64::max);
 
     SpeedupReport {
         theoretical_serial: ratio(total_filtered, sum_region),
@@ -162,6 +173,48 @@ mod tests {
         assert_eq!(human_duration(Duration::from_secs_f64(7200.0)), "2.0 h");
         assert!(human_duration(Duration::from_secs_f64(2.0 * 86_400.0)).contains("days"));
         assert!(human_duration(Duration::from_secs_f64(4.0e8)).contains("years"));
+    }
+
+    /// Parallel time is the longest chain's: the sum of its regions'
+    /// detailed and fast-forward walls, whatever order results come in.
+    #[test]
+    fn actual_parallel_divides_by_the_longest_chain() {
+        let program = crate::testutil::phased_program(2, lp_omp::WaitPolicy::Passive, 3);
+        let cfg = crate::LoopPointConfig::with_slice_base(500);
+        let analysis = crate::analyze(&program, 2, &cfg).unwrap();
+        let region = |slice_index| crate::LoopPointRegion {
+            slice_index,
+            ..analysis.looppoints[0].clone()
+        };
+        let result = |slice_index, secs: f64, continues| RegionResult {
+            region: region(slice_index),
+            stats: SimStats {
+                wall: Duration::from_secs_f64(secs / 2.0),
+                ff_wall: Duration::from_secs_f64(secs / 2.0),
+                ..Default::default()
+            },
+            continues,
+        };
+        let full = SimStats {
+            wall: Duration::from_secs(14),
+            ..Default::default()
+        };
+        // Chains {3, 4} and {9}: 1 + 2 = 3 s against 4 s.
+        let results = [
+            result(9, 4.0, false),
+            result(4, 2.0, true),
+            result(3, 1.0, false),
+        ];
+        let sp = speedups(&analysis, &results, &full);
+        assert_eq!((sp.actual_serial, sp.actual_parallel), (2.0, 3.5));
+        // One chain {3, 4, 9}: 7 s.
+        let results = [
+            result(9, 4.0, true),
+            result(4, 2.0, true),
+            result(3, 1.0, false),
+        ];
+        let sp = speedups(&analysis, &results, &full);
+        assert_eq!((sp.actual_serial, sp.actual_parallel), (2.0, 2.0));
     }
 
     #[test]

@@ -4,13 +4,15 @@
 
 use looppoint::{
     analyze, error_pct, extrapolate, run_pipeline, simulate_whole, speedups, JobOutcome,
-    LoopPointConfig, SimOptions, FROM_RESET, WARMUP_SLICES,
+    LoopPointConfig, RegionResult, SimOptions, FROM_RESET, WARMUP_SLICES,
 };
 use lp_isa::{AluOp, ProgramBuilder, Reg};
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
 use lp_workloads::{build, InputClass};
 use std::sync::Arc;
+
+mod oracle;
 
 const NTHREADS: usize = 4;
 
@@ -218,10 +220,10 @@ fn checkpoint_driven_simulation_matches_binary_driven() {
     // runtime to within warmup noise, while doing far less warmup work.
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
-    let binary = from_reset(&p, n, &cfg).results;
+    let binary = from_reset(&p, n, &cfg);
     let ckpt = sampled(&p, n, &cfg, &SimOptions::default(), WARMUP_SLICES).results;
 
-    let pred_b = extrapolate(&binary).total_cycles;
+    let pred_b = extrapolate(&binary.results).total_cycles;
     let pred_c = extrapolate(&ckpt).total_cycles;
     let diff = (pred_b - pred_c).abs() / pred_b;
     assert!(
@@ -229,16 +231,60 @@ fn checkpoint_driven_simulation_matches_binary_driven() {
         "modes agree: binary {pred_b:.0} vs checkpointed {pred_c:.0}"
     );
 
-    // And the checkpoint-driven mode skips most fast-forward work.
-    let ff_b: u64 = binary.iter().map(|r| r.stats.ff_instructions).sum();
+    // And the checkpoint-driven mode skips most of the fast-forward work
+    // of binary-driven regions simulated each on its own (the independent
+    // oracle) ...
+    let opts = SimOptions::default();
+    let independent = oracle::independent(&binary.analysis, &p, n, &cfg, &opts, FROM_RESET);
+    let ff_b: u64 = independent.iter().map(|s| s.ff_instructions).sum();
     let ff_c: u64 = ckpt.iter().map(|r| r.stats.ff_instructions).sum();
     assert!(
         ff_c * 4 < ff_b,
         "checkpointed warmup ({ff_c}) ≪ binary-driven fast-forward ({ff_b})"
+    );
+    // ... which chained binary-driven simulation sweeps once: one chain,
+    // no instruction fast-forwarded or detailed twice.
+    let chained: u64 = binary
+        .results
+        .iter()
+        .map(|r| r.stats.ff_instructions + r.stats.instructions)
+        .sum();
+    assert_eq!(binary.results.iter().filter(|r| !r.continues).count(), 1);
+    assert!(
+        chained <= binary.analysis.pinball.instructions(),
+        "{chained}"
     );
 
     // Accuracy against the full run holds too.
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(pred_c, full.cycles as f64);
     assert!(err < 10.0, "checkpoint-driven error {err:.2}%");
+}
+
+/// Where no region continues another — `603.bwaves_s.1`/train/8 threads at
+/// slice base 8 000: 3 regions, 3 chains — the job is the independent
+/// regions' job: the same `JobSummary`, bit for bit.
+#[test]
+fn a_job_without_continuing_regions_is_the_independent_job() {
+    let spec = lp_workloads::find("603.bwaves_s.1").unwrap();
+    let n = spec.effective_threads(8);
+    let p = build(&spec, InputClass::Train, 8, WaitPolicy::Passive);
+    let cfg = SimConfig::gainestown(8);
+    let opts = SimOptions::default();
+    let run = sampled(&p, n, &cfg, &opts, WARMUP_SLICES);
+    assert_eq!(run.results.len(), 3);
+    assert!(run.results.iter().all(|r| !r.continues));
+    let independent = oracle::independent(&run.analysis, &p, n, &cfg, &opts, WARMUP_SLICES);
+    let results = run
+        .results
+        .iter()
+        .zip(independent)
+        .map(|(r, stats)| RegionResult {
+            region: r.region.clone(),
+            stats,
+            continues: false,
+        })
+        .collect();
+    let chained = run.summary();
+    assert_eq!(chained, JobOutcome { results, ..run }.summary());
 }

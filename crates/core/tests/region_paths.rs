@@ -1,29 +1,32 @@
 //! One way to run a region: every path that simulates a looppoint goes
 //! through `Simulator::run_region`, and must produce what the written-out
-//! restore → watch → fast-forward → detail sequence produces.
+//! restore → watch → fast-forward → detail sequence produces — region by
+//! region for a chain's head, and along the chain for the regions that
+//! continue it.
 
 #[path = "../src/testutil.rs"]
 mod testutil;
 
+mod oracle;
+
 use looppoint::{
     analyze, analyze_live, prepare_region_checkpoints, run_pipeline, simulate_prepared,
-    simulate_whole, LiveConfig, LoopPointConfig, SimOptions, FROM_RESET,
+    simulate_whole, LiveConfig, LoopPointConfig, SimOptions, FROM_RESET, WARMUP_SLICES,
 };
 use lp_omp::WaitPolicy;
-use lp_sim::{Mode, SimStats, Simulator, StopCond};
+use lp_sim::{Mode, Simulator, StopCond};
 use lp_uarch::SimConfig;
+use oracle::outcome;
 use testutil::{contended_program, phased_program};
 
 const NTHREADS: usize = 2;
 const BUDGET: u64 = 200_000_000;
 
-/// Every deterministic `SimStats` field (all but `wall` / `ff_wall`).
-fn outcome(s: &SimStats) -> impl PartialEq + std::fmt::Debug + '_ {
-    let counts = (s.cycles, s.instructions, s.filtered_instructions);
-    let per_thread = (&s.per_thread_instructions, s.ff_instructions);
-    (counts, per_thread, &s.branch, &s.mem, &s.ipc_trace)
-}
-
+/// `FROM_RESET` is one chain from reset. Its written-out reference is one
+/// simulator walking the looppoints in slice order, fast-forwarding to
+/// each start marker (unless it stands on it) and detailing to its end;
+/// its head is also what `run_region` on a fresh simulator, and the
+/// independent oracle, produce.
 #[test]
 fn written_out_reference_equals_run_region_equals_run_pipeline_from_reset() {
     for program in [
@@ -35,41 +38,130 @@ fn written_out_reference_equals_run_region_equals_run_pipeline_from_reset() {
         let opts = SimOptions::default();
         let run = run_pipeline(&program, NTHREADS, &cfg, &simcfg, &opts, FROM_RESET, None).unwrap();
         let analysis = &run.analysis;
-        assert_eq!(run.results.len(), analysis.looppoints.len());
+        let looppoints = &analysis.looppoints;
+        assert!(looppoints.len() >= 2, "{}", program.name());
+        assert_eq!(run.results.len(), looppoints.len());
         // The window reaches program start: no checkpoint, no replay.
         let prepared = prepare_region_checkpoints(analysis, &program, FROM_RESET).unwrap();
         assert_eq!(prepared.replay_passes, 0, "FROM_RESET replays nothing");
         assert!(prepared.regions.iter().all(|p| p.checkpoint.is_none()));
-        let mut compared = 0;
-        for (region, result) in analysis.looppoints.iter().zip(&run.results) {
-            let via_method = Simulator::new(program.clone(), NTHREADS, simcfg.clone())
-                .run_region(region.start, region.end, BUDGET)
+
+        let mut order: Vec<usize> = (0..looppoints.len()).collect();
+        order.sort_by_key(|&i| looppoints[i].slice_index);
+        let mut sim = Simulator::new(program.clone(), NTHREADS, simcfg.clone());
+        for m in looppoints.iter().flat_map(|r| [r.start, r.end]).flatten() {
+            sim.watch_pc(m.pc);
+        }
+        let mut ff_before = 0;
+        for (k, &i) in order.iter().enumerate() {
+            let region = &looppoints[i];
+            assert_eq!(prepared.regions[i].continues, k > 0, "one chain");
+            if let Some(start) = region.start {
+                if sim.watch_count(start.pc) != start.count {
+                    sim.run(Mode::FastForward, Some(StopCond::Marker(start)), BUDGET)
+                        .unwrap();
+                }
+            }
+            let mut reference = sim
+                .run(Mode::Detailed, region.end.map(StopCond::Marker), BUDGET)
                 .unwrap();
-            assert_eq!(
-                outcome(&via_method),
-                outcome(&result.stats),
-                "run_region vs pipeline"
+            // A bare detailed run reports the simulator's running total of
+            // fast-forward; a region's own is the part since the last one.
+            (reference.ff_instructions, ff_before) = (
+                reference.ff_instructions - ff_before,
+                reference.ff_instructions,
             );
-            let (Some(start), Some(end)) = (region.start, region.end) else {
-                continue;
-            };
-            let mut sim = Simulator::new(program.clone(), NTHREADS, simcfg.clone());
-            sim.watch_pc(start.pc);
-            sim.watch_pc(end.pc);
-            sim.run(Mode::FastForward, Some(StopCond::Marker(start)), BUDGET)
-                .unwrap();
-            let reference = sim
-                .run(Mode::Detailed, Some(StopCond::Marker(end)), BUDGET)
-                .unwrap();
             assert_eq!(
                 outcome(&reference),
-                outcome(&via_method),
-                "reference vs run_region"
+                outcome(&run.results[i].stats),
+                "{}: written-out chain vs pipeline, region {k} of the chain",
+                program.name()
             );
-            compared += 1;
+            assert_eq!(run.results[i].continues, k > 0);
         }
-        assert!(compared > 0, "no region with both markers to compare");
+
+        let head = &looppoints[order[0]];
+        let via_method = Simulator::new(program.clone(), NTHREADS, simcfg.clone())
+            .run_region(head.start, head.end, BUDGET)
+            .unwrap();
+        let independent =
+            oracle::independent(analysis, &program, NTHREADS, &simcfg, &opts, FROM_RESET);
+        let head_stats = &run.results[order[0]].stats;
+        assert_eq!(
+            outcome(&via_method),
+            outcome(head_stats),
+            "run_region vs pipeline"
+        );
+        assert_eq!(
+            outcome(&independent[order[0]]),
+            outcome(head_stats),
+            "oracle vs pipeline"
+        );
     }
+}
+
+/// At every warm-up window, chained simulation is a function of the
+/// preparation alone (pool 1 and pool 3 agree), every chain head — a chain
+/// of one included — matches the independent per-region oracle bit for
+/// bit, and the chains fast-forward no more than the independent regions.
+/// Window 0 puts each head's checkpoint on its own start marker.
+#[test]
+fn chain_heads_match_the_independent_oracle_at_every_window() {
+    let (mut continuing, mut multi_chain) = (0, 0);
+    for program in [
+        phased_program(NTHREADS, WaitPolicy::Passive, 4),
+        contended_program(NTHREADS),
+    ] {
+        let simcfg = SimConfig::gainestown(NTHREADS);
+        let analysis = analyze(&program, NTHREADS, &LoopPointConfig::with_slice_base(500)).unwrap();
+        for window in [0, 1, 2, 3, WARMUP_SLICES, FROM_RESET] {
+            let what = format!("{} window {window}", program.name());
+            let prepared = prepare_region_checkpoints(&analysis, &program, window).unwrap();
+            let serial = SimOptions::default();
+            let pooled = SimOptions {
+                pool_size: 3,
+                ..serial
+            };
+            let chained = simulate_prepared(&prepared, &program, NTHREADS, &simcfg, &serial);
+            let chained = chained.unwrap_or_else(|e| panic!("{what}: {e}"));
+            let on_pool = simulate_prepared(&prepared, &program, NTHREADS, &simcfg, &pooled);
+            let independent =
+                oracle::independent(&analysis, &program, NTHREADS, &simcfg, &serial, window);
+            let mut heads = 0;
+            for (i, (a, b)) in chained.iter().zip(&on_pool.unwrap()).enumerate() {
+                assert_eq!(a.region.slice_index, analysis.looppoints[i].slice_index);
+                assert_eq!(outcome(&a.stats), outcome(&b.stats), "{what}: pool 1 vs 3");
+                assert_eq!(a.continues, prepared.regions[i].continues);
+                if a.continues {
+                    continuing += 1;
+                    continue;
+                }
+                heads += 1;
+                assert_eq!(
+                    outcome(&a.stats),
+                    outcome(&independent[i]),
+                    "{what}: head vs oracle"
+                );
+                if window == 0 && a.region.start.is_some() {
+                    assert_eq!(
+                        a.stats.ff_instructions, 0,
+                        "{what}: checkpoint on the start marker"
+                    );
+                }
+            }
+            multi_chain += usize::from(heads > 1);
+            let ff_chained: u64 = chained.iter().map(|r| r.stats.ff_instructions).sum();
+            let ff_independent: u64 = independent.iter().map(|s| s.ff_instructions).sum();
+            assert!(
+                ff_chained <= ff_independent,
+                "{what}: ff {ff_chained} vs {ff_independent}"
+            );
+        }
+    }
+    assert!(
+        continuing > 0 && multi_chain > 0,
+        "{continuing} continuing, {multi_chain} multi-chain"
+    );
 }
 
 /// `FROM_RESET` is one value of a saturating window: any window reaching

@@ -1,11 +1,13 @@
 //! Single-pass checkpoint generation: equivalence with one one-marker
-//! `Pinball::checkpoints_at` replay per region, the one-replay guarantee,
-//! serial/pooled simulation determinism, and the pass budget of a cold
-//! pipeline run (which makes no checkpoint pass at all).
+//! `Pinball::checkpoints_at` replay per region (the independent oracle),
+//! the one-replay guarantee, serial/pooled simulation determinism, and the
+//! pass budget of a cold pipeline run (which makes no checkpoint pass at
+//! all).
+
+mod oracle;
 
 use looppoint::{
-    analyze, prepare_region_checkpoints, run_pipeline, simulate_prepared, LoopPointConfig,
-    PreparedCheckpoints, PreparedRegion, SimOptions, WARMUP_SLICES,
+    analyze, prepare_region_checkpoints, run_pipeline, LoopPointConfig, SimOptions, WARMUP_SLICES,
 };
 use lp_omp::WaitPolicy;
 use lp_store::Store;
@@ -31,42 +33,16 @@ fn demo_program() -> (Arc<lp_isa::Program>, usize) {
     (p, n)
 }
 
+/// 19 looppoints in five chains at [`WARMUP_SLICES`], every head with a
+/// checkpoint.
 fn demo_config() -> LoopPointConfig {
-    LoopPointConfig::with_slice_base(4_000)
+    LoopPointConfig::with_slice_base(300)
 }
 
 fn demo_analysis() -> (Arc<lp_isa::Program>, looppoint::Analysis) {
     let (p, n) = demo_program();
     let analysis = analyze(&p, n, &demo_config()).unwrap();
     (p, analysis)
-}
-
-/// The reference the single-pass generator is held to: one full pinball
-/// replay **per region**, each a one-marker `checkpoints_at` call watching
-/// only that region's own start/end PCs.
-fn prepare_with_one_replay_each(
-    analysis: &looppoint::Analysis,
-    program: &Arc<lp_isa::Program>,
-) -> PreparedCheckpoints {
-    let mut prepared = PreparedCheckpoints {
-        regions: Vec::new(),
-        replay_passes: 0,
-    };
-    for region in &analysis.looppoints {
-        let warm_idx = region.slice_index.saturating_sub(WARMUP_SLICES);
-        let markers = [region.start, region.end];
-        let watch: Vec<_> = markers.iter().flatten().map(|m| m.pc).collect();
-        let checkpoint = analysis.profile.slices[warm_idx].start.map(|marker| {
-            let pinball = &analysis.pinball;
-            let one = pinball.checkpoints_at(program.clone(), &[marker], &watch);
-            let (ckpt, counts) = one.unwrap().pop().unwrap();
-            prepared.replay_passes += 1;
-            (ckpt.state().clone(), counts.into_iter().collect())
-        });
-        let region = region.clone();
-        prepared.regions.push(PreparedRegion { region, checkpoint });
-    }
-    prepared
 }
 
 fn state_bytes(s: &lp_isa::MachineState) -> Vec<u8> {
@@ -100,13 +76,13 @@ fn assert_stats_eq(a: &lp_sim::SimStats, b: &lp_sim::SimStats, what: &str) {
 fn single_pass_prepares_identical_checkpoints_in_one_replay() {
     let _serial = serial();
     let (p, analysis) = demo_analysis();
-    assert!(
-        analysis.looppoints.len() >= 2,
-        "need multiple regions to make the one-pass guarantee interesting"
-    );
-
     let single = prepare_region_checkpoints(&analysis, &p, WARMUP_SLICES).unwrap();
-    let reference = prepare_with_one_replay_each(&analysis, &p);
+    let reference = oracle::prepare_independently(&analysis, &p, WARMUP_SLICES);
+    let heads = single.regions.iter().filter(|r| !r.continues).count();
+    assert!(
+        heads >= 2 && heads < single.regions.len(),
+        "need several chains, one of several regions, to make the one-pass guarantee interesting"
+    );
 
     // The headline property: one replay pass regardless of region count.
     assert_eq!(
@@ -115,29 +91,26 @@ fn single_pass_prepares_identical_checkpoints_in_one_replay() {
     );
     assert!(reference.replay_passes >= 1, "no region has a checkpoint");
 
-    // Byte-identical payloads, region by region.
+    // Each chain head's snapshot is byte-identical to the region's own
+    // one-marker checkpoint, and its watch counts hold the region's own.
     assert_eq!(single.regions.len(), reference.regions.len());
     for (a, b) in single.regions.iter().zip(&reference.regions) {
-        assert_eq!(a.region.slice_index, b.region.slice_index);
+        let slice = a.region.slice_index;
+        assert_eq!(slice, b.region.slice_index);
         match (&a.checkpoint, &b.checkpoint) {
+            _ if a.continues => assert!(a.checkpoint.is_none(), "slice {slice} continues"),
             (None, None) => {}
             (Some((sa, ca)), Some((sb, cb))) => {
                 assert_eq!(
                     state_bytes(sa),
                     state_bytes(sb),
-                    "snapshot for slice {} must be byte-identical",
-                    a.region.slice_index
+                    "snapshot for slice {slice} must be byte-identical"
                 );
-                let mut ca = ca.clone();
-                let mut cb = cb.clone();
-                ca.sort_unstable();
-                cb.sort_unstable();
-                assert_eq!(ca, cb, "watch counts for slice {}", a.region.slice_index);
+                for own in cb {
+                    assert!(ca.contains(own), "watch count {own:?} for slice {slice}");
+                }
             }
-            _ => panic!(
-                "checkpoint presence differs for slice {}",
-                a.region.slice_index
-            ),
+            _ => panic!("checkpoint presence differs for slice {slice}"),
         }
     }
 }
@@ -153,9 +126,9 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
     let run = run_pipeline(&p, n, &cfg, &simcfg, &opts, WARMUP_SLICES, None).unwrap();
     let serial = run.results;
 
-    // Per-region prepare + serial simulate: the reference result.
-    let reference_prep = prepare_with_one_replay_each(&run.analysis, &p);
-    let reference = simulate_prepared(&reference_prep, &p, n, &simcfg, &opts).unwrap();
+    // Per-region prepare + independent simulation: the chain heads'
+    // reference result.
+    let reference = oracle::independent(&run.analysis, &p, n, &simcfg, &opts, WARMUP_SLICES);
 
     // Bounded-pool parallel run.
     let opts = SimOptions {
@@ -168,12 +141,16 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
 
     assert_eq!(serial.len(), reference.len());
     assert_eq!(serial.len(), pooled.len());
+    let mut heads = 0;
     for ((s, l), q) in serial.iter().zip(&reference).zip(&pooled) {
-        assert_eq!(s.region.slice_index, l.region.slice_index);
         assert_eq!(s.region.slice_index, q.region.slice_index);
-        assert_stats_eq(&s.stats, &l.stats, "single-pass vs per-region prepare");
         assert_stats_eq(&s.stats, &q.stats, "serial vs pooled simulation");
+        if !s.continues {
+            assert_stats_eq(&s.stats, l, "chain head vs per-region prepare");
+            heads += 1;
+        }
     }
+    assert!(heads >= 2, "{heads} chains");
 }
 
 /// The pass budget, counted: a cold pipeline run steps the program through

@@ -176,14 +176,7 @@ impl Simulator {
             "timing checkpoint is for {} cores, machine has {nthreads} threads",
             timing.ncores()
         );
-        // Threads already parked on futexes at the checkpoint must not be
-        // scheduled until woken.
-        let clocks = (0..nthreads)
-            .map(|tid| match machine.thread_state(tid) {
-                ThreadState::Running => timing.core_now(tid),
-                _ => u64::MAX,
-            })
-            .collect();
+        let clocks = scheduler_clocks(&machine, &timing);
         Simulator {
             timing,
             clocks,
@@ -194,6 +187,18 @@ impl Simulator {
             machine,
             obs: lp_obs::global(),
         }
+    }
+
+    /// Restarts the microarchitectural state cold — caches, predictors
+    /// and core clocks as [`Simulator::from_machine`] builds them — on the
+    /// machine as it stands. Watch counts and the fast-forward warming
+    /// setting carry over: the cold-start ablation of a region that
+    /// continues on the simulator of the region before it.
+    pub fn reset_timing(&mut self) {
+        let mut timing = TimingModel::new(self.config().clone(), self.machine.num_threads());
+        timing.set_ff_warming(self.timing.ff_warming());
+        self.clocks = scheduler_clocks(&self.machine, &timing);
+        self.timing = timing;
     }
 
     /// Clones the current microarchitectural state (core clocks, cache
@@ -525,11 +530,14 @@ impl Simulator {
     /// fast-forwards (warming caches and predictors unless
     /// [`Simulator::set_ff_warming`] turned that off) to `start`, then
     /// simulates in detail until `end`, and returns the detailed segment's
-    /// statistics with the warmup accounted in the `ff_*` fields.
+    /// statistics with this call's warmup accounted in the `ff_*` fields.
+    /// Called again on the same simulator, it runs the next region of a
+    /// chain: fast-forward over the gap, then detail.
     ///
     /// `start = None` begins the detailed segment where the simulator
-    /// stands (program reset, or a snapshot taken on the start marker);
-    /// `end = None` runs it to program end. Both marker PCs are watched
+    /// stands (program reset, a snapshot taken on the start marker, or the
+    /// previous region's end when that is the start marker); `end = None`
+    /// runs it to program end. Both marker PCs are watched
     /// here; a simulator resumed from a checkpoint seeds their counts with
     /// [`Simulator::watch_pc_from`] first.
     ///
@@ -546,10 +554,14 @@ impl Simulator {
         for m in [start, end].into_iter().flatten() {
             self.watch_pc(m.pc);
         }
+        let (ff_instructions, ff_wall) = (self.ff_instructions, self.ff_wall);
         if let Some(s) = start {
             self.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
         }
-        self.run(Mode::Detailed, end.map(StopCond::Marker), max_steps)
+        let mut stats = self.run(Mode::Detailed, end.map(StopCond::Marker), max_steps)?;
+        stats.ff_instructions -= ff_instructions;
+        stats.ff_wall -= ff_wall;
+        Ok(stats)
     }
 
     /// Makes the threads `waker`'s futex wake released schedulable again,
@@ -565,6 +577,18 @@ impl Simulator {
             }
         }
     }
+}
+
+/// The scheduler's view of a machine on `timing`: each running thread's
+/// core clock, `u64::MAX` for threads parked on futexes (they must not be
+/// scheduled until woken) or halted.
+fn scheduler_clocks(machine: &Machine, timing: &TimingModel) -> Vec<u64> {
+    (0..machine.num_threads())
+        .map(|tid| match machine.thread_state(tid) {
+            ThreadState::Running => timing.core_now(tid),
+            _ => u64::MAX,
+        })
+        .collect()
 }
 
 /// Runs a whole program in detailed mode.
@@ -647,6 +671,61 @@ mod tests {
         // 100 stream iterations x 5 instructions (load/add/add/sub/branch).
         assert_eq!(stats.instructions, 500);
         assert!(stats.ff_instructions > 0, "warmup happened");
+    }
+
+    /// Two regions on one simulator: each reports the fast-forward it ran
+    /// itself, and the second starts from the first's end marker.
+    #[test]
+    fn chained_regions_report_their_own_fast_forward() {
+        let (p, hdr) = two_phase_program(1000);
+        let mut sim = Simulator::new(p, 1, lp_uarch::SimConfig::gainestown(1));
+        let first = sim
+            .run_region(
+                Some(Marker::new(hdr, 100)),
+                Some(Marker::new(hdr, 200)),
+                BUDGET,
+            )
+            .unwrap();
+        let second = sim
+            .run_region(
+                Some(Marker::new(hdr, 300)),
+                Some(Marker::new(hdr, 400)),
+                BUDGET,
+            )
+            .unwrap();
+        let adjacent = sim
+            .run_region(None, Some(Marker::new(hdr, 500)), BUDGET)
+            .unwrap();
+        assert!(first.ff_instructions > 500, "{}", first.ff_instructions);
+        // 100 stream iterations of 5 instructions each, between the markers.
+        assert_eq!(second.ff_instructions, 500);
+        assert_eq!((second.instructions, adjacent.instructions), (500, 500));
+        assert_eq!(adjacent.ff_instructions, 0);
+        assert_eq!(adjacent.ff_wall, std::time::Duration::ZERO);
+    }
+
+    /// `reset_timing` leaves what a cold simulator resumed from a snapshot
+    /// of the same machine has: the same next region, cycle for cycle.
+    #[test]
+    fn reset_timing_is_a_cold_restore() {
+        let (p, hdr) = two_phase_program(1000);
+        let cfg = lp_uarch::SimConfig::gainestown(1);
+        let mut chained = Simulator::new(p.clone(), 1, cfg.clone());
+        chained.set_ff_warming(false);
+        chained
+            .run_region(None, Some(Marker::new(hdr, 200)), BUDGET)
+            .unwrap();
+        let snapshot = chained.machine().snapshot();
+        chained.reset_timing();
+        let mut restored = Simulator::from_machine(Machine::from_snapshot(p, &snapshot), cfg);
+        restored.watch_pc_from(hdr, 200);
+        restored.set_ff_warming(false);
+        let region = (Some(Marker::new(hdr, 300)), Some(Marker::new(hdr, 400)));
+        let a = chained.run_region(region.0, region.1, BUDGET).unwrap();
+        let b = restored.run_region(region.0, region.1, BUDGET).unwrap();
+        assert_eq!((a.cycles, a.instructions), (b.cycles, b.instructions));
+        assert_eq!((&a.mem, &a.branch), (&b.mem, &b.branch));
+        assert_eq!(a.ff_instructions, b.ff_instructions);
     }
 
     #[test]

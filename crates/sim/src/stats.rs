@@ -30,11 +30,15 @@ pub struct SimStats {
     pub branch: BranchStats,
     /// Aggregated memory statistics (summed over cores).
     pub mem: CoreMemStats,
-    /// Instructions executed in fast-forward (warmup) before this run.
+    /// Instructions executed in fast-forward (warmup) before this detailed
+    /// segment. A `Simulator::run_region` result counts the fast-forward
+    /// of that call alone — a region's own warmup, even when several
+    /// regions run on one simulator; a bare `Simulator::run` reports the
+    /// simulator's running total.
     pub ff_instructions: u64,
     /// Wall-clock time spent in detailed simulation.
     pub wall: Duration,
-    /// Wall-clock time spent fast-forwarding.
+    /// Wall-clock time spent fast-forwarding, counted as `ff_instructions`.
     pub ff_wall: Duration,
     /// Optional IPC trace (enabled via sampling interval).
     pub ipc_trace: Vec<IpcSample>,

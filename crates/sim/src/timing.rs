@@ -84,6 +84,11 @@ impl TimingModel {
         self.warm_during_ff = enabled;
     }
 
+    /// Whether fast-forward warms caches and branch predictors.
+    pub(crate) fn ff_warming(&self) -> bool {
+        self.warm_during_ff
+    }
+
     /// Clears hierarchy and branch statistics while keeping warmed state
     /// (called at the detailed-region start).
     pub fn reset_stats(&mut self) {
