@@ -160,14 +160,18 @@ for cmd in "" live serve submit status trace top shutdown farm-load; do
     || { echo "help-smoke: '$cmd --help' failed or printed nothing" >&2; exit 1; }
 done
 
-echo "== one-path (one sampled-simulation path) =="
+echo "== one-path (one sampled-simulation path, one estimator) =="
 # Regions are simulated one way: run_pipeline, or its two halves
 # prepare_region_checkpoints + simulate_prepared (binary-driven is the
-# FROM_RESET warm-up window). Counts, not timings: the deleted second path
-# stays deleted, and lp-bench's library calls no simulate_* but the
-# full-detail reference.
+# FROM_RESET warm-up window). Both modes build one looppoint::Estimate
+# that the summary, the progress stream and diagnose read. Counts, not
+# timings: the deleted second paths stay deleted, and lp-bench's library
+# calls no simulate_* but the full-detail reference. The estimator names
+# match whole words only: the live attribution tests keep their
+# `diagnose_live_*` names.
 SECOND_PATH=$( (grep -rEc --include='*.rs' --exclude-dir=target \
-  'simulate_representatives|evaluate_app_mode' crates src tests examples lp-perf || true) \
+  'simulate_representatives|evaluate_app_mode|\b(diagnose_live|LiveClusterSummary|extrapolate_naive)\b' \
+  crates src tests examples lp-perf || true) \
   | awk -F: '{ n += $NF } END { print n + 0 }')
 BENCH_SIMS=$(grep -rEoh --include='*.rs' '\bsimulate_[a-z_]+\(' crates/bench/src \
   | grep -vc '^simulate_whole($' || true)
@@ -236,18 +240,16 @@ echo "== diag-smoke (accuracy attribution) =="
 # Two workloads through --diag-report; validate the document against the
 # minimal schema and the exact-sum acceptance invariant: per-cluster
 # attributed errors sum to the end-to-end extrapolation error, and each
-# cluster's cause components sum to its error.
-DIAG_OUT="$PWD/target/ci-diag.json"
-DIAG_LOG="$PWD/target/ci-diag.log"
-"${RUNNER[@]}" -p demo-matrix-1,demo-matrix-2 -n 4 --slice-base 4000 \
-  --diag-report "$DIAG_OUT" > "$DIAG_LOG" 2>&1 \
-  || { cat "$DIAG_LOG" >&2; echo "diag-smoke: run failed" >&2; exit 1; }
-grep -q 'accuracy attribution:' "$DIAG_LOG" || { echo "diag-smoke: no attribution table printed" >&2; exit 1; }
-python3 - "$DIAG_OUT" <<'PY'
+# cluster's cause components sum to its error. live-smoke runs the same
+# checks on its live-mode report.
+# check_diag_reports FILE COUNT
+check_diag_reports() {
+python3 - "$1" "$2" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     reports = json.load(f)
-assert isinstance(reports, list) and len(reports) == 2, f"expected 2 reports, got {reports!r:.80}"
+n = int(sys.argv[2])
+assert isinstance(reports, list) and len(reports) == n, f"expected {n} reports, got {reports!r:.80}"
 REPORT_KEYS = {"schema_version", "workload", "nthreads", "k", "predicted_cycles",
                "actual_cycles", "error_cycles", "error_pct", "clusters", "profile"}
 CLUSTER_KEYS = {"cluster", "slice_index", "multiplier", "weight", "predicted_cycles",
@@ -271,8 +273,16 @@ for r in reports:
         assert abs(s - c["error_cycles"]) <= ctol, \
             f"{r['workload']} cluster {c['cluster']}: components {s} != {c['error_cycles']}"
     assert r["profile"]["wall_us"] > 0 and r["profile"]["phases"], "empty self-profile"
-print(f"diag-smoke: {len(reports)} reports, attribution sums exact")
+print(f"diag-smoke: {len(reports)} reports in {sys.argv[1]}, attribution sums exact")
 PY
+}
+DIAG_OUT="$PWD/target/ci-diag.json"
+DIAG_LOG="$PWD/target/ci-diag.log"
+"${RUNNER[@]}" -p demo-matrix-1,demo-matrix-2 -n 4 --slice-base 4000 \
+  --diag-report "$DIAG_OUT" > "$DIAG_LOG" 2>&1 \
+  || { cat "$DIAG_LOG" >&2; echo "diag-smoke: run failed" >&2; exit 1; }
+grep -q 'accuracy attribution:' "$DIAG_LOG" || { echo "diag-smoke: no attribution table printed" >&2; exit 1; }
+check_diag_reports "$DIAG_OUT" 2
 
 echo "== farm-smoke (analysis service) =="
 # Start the lp-farm daemon on an ephemeral port, submit three jobs of
@@ -672,13 +682,22 @@ echo "== live-smoke (one-pass online sampling) =="
 # must finish with fewer than 40% of its regions simulated in detail
 # (i.e. most regions predicted online, never 100% detailed) and a final
 # cycle estimate within the pinned 10% error bound of the full-detail
-# reference the subcommand computes alongside it.
+# reference the subcommand computes alongside it. The same run writes its
+# accuracy report: diag-smoke's checks hold on it, and its prediction is
+# the summary's estimate, bit for bit (one estimator).
 LIVE_LOG="$PWD/target/ci-live.log"
-"${RUNNER[@]}" live -p npb-cg -n 2 --slice-base 2000 --log-level quiet > "$LIVE_LOG" 2>&1 \
+LIVE_DIAG_OUT="$PWD/target/ci-live-diag.json"
+"${RUNNER[@]}" live -p npb-cg -n 2 --slice-base 2000 --log-level quiet \
+  --diag-report "$LIVE_DIAG_OUT" > "$LIVE_LOG" 2>&1 \
   || { cat "$LIVE_LOG" >&2; echo "live-smoke: live run failed" >&2; exit 1; }
+check_diag_reports "$LIVE_DIAG_OUT" 1
 grep '^{' "$LIVE_LOG" | tail -n1 | python3 -c "
 import json, sys
 j = json.loads(sys.stdin.read())
+with open(sys.argv[1]) as f:
+    report = json.load(f)[0]
+assert report['predicted_cycles'] == j['est_cycles'], \
+    f'live report predicts {report[\"predicted_cycles\"]!r}, summary estimates {j[\"est_cycles\"]!r}'
 assert j['mode'] == 'live', j
 assert j['regions'] > 0 and j['clusters'] > 0, j
 assert 0 < j['detailed_regions'] < j['regions'], \
@@ -689,7 +708,7 @@ assert j['err_pct'] < 10.0, \
     f'live estimate error {j[\"err_pct\"]:.2f}% breaches the pinned 10% bound'
 print(f'live-smoke: {j[\"detailed_regions\"]}/{j[\"regions\"]} regions detailed '
       f'({j[\"detailed_pct\"]*100:.1f}%), err {j[\"err_pct\"]:.2f}% vs full detail')
-" || { cat "$LIVE_LOG" >&2; echo "live-smoke: acceptance gate failed" >&2; exit 1; }
+" "$LIVE_DIAG_OUT" || { cat "$LIVE_LOG" >&2; echo "live-smoke: acceptance gate failed" >&2; exit 1; }
 
 echo "== bench-smoke (live sampling) =="
 # Quick variant of the live-sampling benchmark (full detail vs two-phase

@@ -3,8 +3,8 @@
 //! especially under the active wait policy (paper: avg 25%, up to 68.44%
 //! active; up to 20% passive).
 
-use looppoint::baselines::{analyze_naive, extrapolate_naive, simulate_naive_regions};
-use looppoint::{error_pct, simulate_whole};
+use looppoint::baselines::{analyze_naive, simulate_naive_regions};
+use looppoint::{error_pct, simulate_whole, Prediction};
 use lp_bench::paper;
 use lp_bench::table::{f, title, Table};
 use lp_bench::{analyze_app, mean, BENCH_SLICE_BASE, SPEC_THREADS};
@@ -41,9 +41,9 @@ fn main() {
             .unwrap();
             let results =
                 simulate_naive_regions(&naive, &program, nthreads, &cfg, u64::MAX).unwrap();
-            let predicted = extrapolate_naive(&results);
+            let predicted = Prediction::weighted(results.iter().map(|(r, s)| (r.multiplier, s)));
             let full = simulate_whole(&program, nthreads, &cfg).unwrap();
-            errs[i] = error_pct(predicted, full.cycles as f64);
+            errs[i] = error_pct(predicted.total_cycles, full.cycles as f64);
         }
         act.push(errs[0]);
         pas.push(errs[1]);

@@ -171,11 +171,13 @@ impl AppEval {
     /// self-profile of the spans recorded by `obs`. See
     /// [`looppoint::diagnose`].
     pub fn diag_report(&self, obs: &lp_obs::Observer) -> lp_diag::DiagReport {
+        let estimate =
+            looppoint::Estimate::two_phase(&self.outcome.analysis, &self.outcome.results);
         looppoint::diagnose(
             &self.name,
             self.nthreads,
-            &self.outcome.analysis,
-            &self.outcome.results,
+            "two-phase",
+            &estimate,
             Some(&self.full),
             obs,
         )

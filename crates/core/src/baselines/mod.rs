@@ -16,7 +16,5 @@ pub mod simpoint_mt;
 pub mod time_sampling;
 
 pub use barrierpoint::{analyze_barrierpoint, BarrierPointAnalysis, BarrierRegion};
-pub use simpoint_mt::{
-    analyze_naive, extrapolate_naive, simulate_naive_regions, NaiveAnalysis, NaiveRegion,
-};
+pub use simpoint_mt::{analyze_naive, simulate_naive_regions, NaiveAnalysis, NaiveRegion};
 pub use time_sampling::{time_based_sampling, TimeSamplingResult};

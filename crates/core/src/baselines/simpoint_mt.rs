@@ -90,7 +90,8 @@ pub fn analyze_naive(
 }
 
 /// Simulates the naive regions unconstrained at their recorded instruction
-/// indices and returns per-region stats paired with multipliers.
+/// indices and returns per-region stats paired with multipliers (Eq. 1
+/// over them is [`crate::Prediction::weighted`]).
 ///
 /// # Errors
 /// Simulation failures.
@@ -121,12 +122,4 @@ pub fn simulate_naive_regions(
             Ok((region.clone(), stats))
         })
         .collect()
-}
-
-/// Eq. 1-style extrapolation over naive regions.
-pub fn extrapolate_naive(results: &[(NaiveRegion, SimStats)]) -> f64 {
-    results
-        .iter()
-        .map(|(r, s)| s.cycles as f64 * r.multiplier)
-        .sum()
 }

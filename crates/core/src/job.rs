@@ -12,7 +12,7 @@
 
 use crate::config::LoopPointConfig;
 use crate::error::LoopPointError;
-use crate::extrapolate::extrapolate;
+use crate::estimate::extrapolate;
 use crate::persist::{analyze_cached_keeping, prepare_cached_from};
 use crate::pipeline::Analysis;
 use crate::simulate::{simulate_prepared_with_cancel, RegionResult, SimOptions};

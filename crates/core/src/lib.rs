@@ -31,11 +31,11 @@
 //!   [`simulate_prepared`] are its two halves, for one analysis simulated
 //!   on several machines;
 //! * [`extrapolate`] — Eq. 1/2 runtime and metric reconstruction (§III-G);
-//! * [`diagnose`] — per-cluster accuracy attribution of the extrapolation
-//!   error (representativeness / warmup / multiplier residual);
 //! * [`analyze_live`] — Pac-Sim-style *online* sampling: one pass, no
-//!   profiling prequel, per-region simulate-or-predict (with
-//!   [`diagnose_live`] for the same error decomposition);
+//!   profiling prequel, per-region simulate-or-predict;
+//! * [`Estimate`] — the one Eq. 1/2 estimate both modes build, and
+//!   [`diagnose`], its per-cluster accuracy attribution
+//!   (representativeness / warmup / multiplier residual);
 //! * [`speedups`] — theoretical/actual, serial/parallel speedups (§V-B);
 //! * [`baselines`] — BarrierPoint, naive multi-threaded SimPoint, and
 //!   time-based sampling, for the paper's comparisons;
@@ -97,9 +97,8 @@ mod cancel;
 mod config;
 pub mod constrained;
 mod coverage;
-mod diagnose;
 mod error;
-mod extrapolate;
+mod estimate;
 mod job;
 mod live;
 #[cfg(test)]
@@ -116,15 +115,14 @@ mod testutil;
 pub use cancel::CancelToken;
 pub use config::{LoopPointConfig, DEFAULT_MAX_STEPS};
 pub use coverage::Coverage;
-pub use diagnose::diagnose;
 pub use error::LoopPointError;
-pub use extrapolate::{error_pct, extrapolate, Prediction};
+pub use estimate::{diagnose, extrapolate, Estimate, Prediction};
 pub use job::{run_job, run_pipeline, JobOutcome, JobSummary};
 pub use live::{
-    analyze_live, diagnose_live, run_live_job, LiveClusterSummary, LiveConfig, LiveOutcome,
-    LiveRegionRecord, LiveRepStats, LiveSummary,
+    analyze_live, run_live_job, LiveConfig, LiveOutcome, LiveRegionRecord, LiveRepStats,
+    LiveSummary,
 };
-pub use lp_diag::{DiagReport, SelfProfile};
+pub use lp_diag::{error_pct, DiagReport, SelfProfile};
 pub use lp_live::{LiveProgress, OnlineConfig};
 pub use persist::{
     analysis_key, analyze_cached, checkpoints_key, prepare_region_checkpoints_cached,

@@ -25,13 +25,15 @@
 //! re-run. A detailed re-run therefore needs no warm-up leg and never
 //! re-executes anything outside its region.
 //!
-//! Every decision is recorded; [`diagnose_live`] maps the outcome onto
-//! `lp-diag`'s [`ClusterInput`] so live-mode error decomposes into
-//! representativeness / warmup / residual exactly as for two-phase runs.
+//! Every decision is recorded, and every region folds into the run's
+//! [`Estimate`] as it is decided, so [`crate::diagnose`] decomposes
+//! live-mode error into representativeness / warmup / residual exactly as
+//! for two-phase runs.
 
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
-use lp_diag::{ClusterInput, DiagReport};
+use crate::estimate::{Estimate, Prediction};
+use lp_diag::ClusterInput;
 use lp_isa::{Machine, MachineState, PcTable, Program};
 use lp_live::{Action, Decision, DetailReason, LiveProgress, OnlineClassifier, StreamingSlicer};
 use lp_obs::{names, Observer};
@@ -129,38 +131,17 @@ pub struct LiveRegionRecord {
     pub detailed: Option<LiveRepStats>,
 }
 
-/// Per-cluster summary of a finished live run, shaped for diagnostics.
-#[derive(Debug, Clone)]
-pub struct LiveClusterSummary {
-    /// Cluster id (spawn order).
-    pub cluster: usize,
-    /// Member regions (including the spawner).
-    pub members: u64,
-    /// Spin-filtered instructions across all member regions.
-    pub filtered_insts: u64,
-    /// Total estimated cycles across all member regions.
-    pub est_cycles: f64,
-    /// The cluster's live representative: its last detailed simulation.
-    pub rep: LiveRepStats,
-    /// Classify-time distance of the representative to the centroid.
-    pub rep_distance: f64,
-    /// Mean classify-time member distance to the centroid.
-    pub mean_member_distance: f64,
-    /// The cluster's final IPC sample.
-    pub last_ipc: f64,
-    /// Final prediction-error EWMA.
-    pub err_ewma: f64,
-}
-
 /// Everything a finished live run produced.
 #[derive(Debug, Clone)]
 pub struct LiveOutcome {
     /// Per-region records in execution order (the decision log with
     /// accounting attached).
     pub regions: Vec<LiveRegionRecord>,
-    /// Per-cluster summaries, by cluster id.
-    pub clusters: Vec<LiveClusterSummary>,
-    /// Estimated whole-program cycles (detailed + extrapolated).
+    /// The estimate's per-cluster samples, by cluster id: each cluster's
+    /// representative is its last detailed simulation.
+    pub clusters: Vec<ClusterInput>,
+    /// The estimate: whole-program cycles (detailed + extrapolated),
+    /// summed in region order.
     pub est_total_cycles: f64,
     /// Regions simulated in detail.
     pub detailed_regions: usize,
@@ -195,10 +176,16 @@ impl LiveOutcome {
 
     /// Estimated whole-program IPC.
     pub fn est_ipc(&self) -> f64 {
-        if self.est_total_cycles > 0.0 {
-            self.total_insts as f64 / self.est_total_cycles
-        } else {
-            0.0
+        Prediction::totals(self.est_total_cycles, self.total_insts as f64).ipc
+    }
+
+    /// The run's estimate, as [`crate::diagnose`] reads it. Live mode
+    /// measures no events outside its detailed windows, so only cycles,
+    /// instructions and IPC are predicted.
+    pub fn estimate(&self) -> Estimate {
+        Estimate {
+            prediction: Prediction::totals(self.est_total_cycles, self.total_insts as f64),
+            clusters: self.clusters.clone(),
         }
     }
 
@@ -253,11 +240,8 @@ pub fn analyze_live(
     };
 
     let mut regions: Vec<LiveRegionRecord> = Vec::new();
-    let mut cluster_est_cycles: Vec<f64> = Vec::new();
-    let mut cluster_rep: Vec<Option<LiveRepStats>> = Vec::new();
-    let mut est_total_cycles = 0.0f64;
+    let mut estimate = Estimate::default();
     let mut detailed_regions = 0usize;
-    let mut predicted_regions = 0usize;
     let mut detailed_insts = 0u64;
 
     let mut program_done = false;
@@ -311,7 +295,6 @@ pub fn analyze_live(
                 stats.cycles as f64
             }
             Action::Predict { ipc } => {
-                predicted_regions += 1;
                 obs.counter(names::LIVE_PREDICTED).inc();
                 if ipc > 0.0 {
                     region.total_insts as f64 / ipc
@@ -320,39 +303,24 @@ pub fn analyze_live(
                 }
             }
         };
-        est_total_cycles += est_cycles;
         obs.counter(names::LIVE_REGIONS).inc();
 
-        if decision.cluster >= cluster_est_cycles.len() {
-            cluster_est_cycles.push(0.0);
-            cluster_rep.push(None);
-        }
-        cluster_est_cycles[decision.cluster] += est_cycles;
-        if let Some(rep) = detailed {
-            cluster_rep[decision.cluster] = Some(rep);
-        }
-        regions.push(LiveRegionRecord {
+        let record = LiveRegionRecord {
             decision,
             filtered_insts: region.filtered_insts,
             total_insts: region.total_insts,
             est_cycles,
             detailed,
-        });
-
-        let snapshot = LiveProgress {
-            regions: regions.len() as u64,
-            clusters: classifier.k() as u64,
-            detailed: detailed_regions as u64,
-            predicted: predicted_regions as u64,
-            detailed_pct: detailed_regions as f64 / regions.len() as f64,
-            est_cycles: est_total_cycles,
-            est_ipc: if est_total_cycles > 0.0 {
-                slicer.total_insts() as f64 / est_total_cycles
-            } else {
-                0.0
-            },
-            done: false,
         };
+        let cluster = &classifier.clusters()[record.decision.cluster];
+        estimate.add_live_region(
+            &record,
+            cluster.mean_member_distance(),
+            slicer.total_insts(),
+        );
+        regions.push(record);
+
+        let snapshot = progress_line(&estimate, regions.len(), detailed_regions, false);
         obs.gauge(names::LIVE_CLUSTERS)
             .set(snapshot.clusters as f64);
         obs.gauge(names::LIVE_DETAILED_PCT)
@@ -369,47 +337,41 @@ pub fn analyze_live(
         };
     }
 
-    let clusters: Vec<LiveClusterSummary> = classifier
-        .clusters()
-        .iter()
-        .enumerate()
-        .map(|(c, cl)| LiveClusterSummary {
-            cluster: c,
-            members: cl.members,
-            filtered_insts: cl.filtered_insts,
-            est_cycles: cluster_est_cycles[c],
-            rep: cluster_rep[c].expect("every cluster detail-simulates its spawning region"),
-            rep_distance: cl.last_detailed_distance,
-            mean_member_distance: cl.mean_member_distance(),
-            last_ipc: cl.last_ipc.unwrap_or(0.0),
-            err_ewma: cl.err_ewma,
-        })
-        .collect();
-
-    let outcome = LiveOutcome {
-        clusters,
-        est_total_cycles,
+    progress(&progress_line(
+        &estimate,
+        regions.len(),
         detailed_regions,
-        predicted_regions,
+        true,
+    ));
+    let outcome = LiveOutcome {
+        clusters: estimate.clusters,
+        est_total_cycles: estimate.prediction.total_cycles,
+        detailed_regions,
+        predicted_regions: regions.len() - detailed_regions,
         detailed_insts,
         total_insts: slicer.total_insts(),
         total_filtered: slicer.total_filtered(),
         regions,
     };
-    progress(&LiveProgress {
-        regions: outcome.regions.len() as u64,
-        clusters: outcome.clusters.len() as u64,
-        detailed: outcome.detailed_regions as u64,
-        predicted: outcome.predicted_regions as u64,
-        detailed_pct: outcome.detailed_fraction(),
-        est_cycles: outcome.est_total_cycles,
-        est_ipc: outcome.est_ipc(),
-        done: true,
-    });
     span.arg("regions", outcome.regions.len());
     span.arg("clusters", outcome.clusters.len());
     span.arg("detailed", outcome.detailed_regions);
     Ok(outcome)
+}
+
+/// The progress line after `regions` regions, `detailed` of them simulated
+/// in detail, read off the running estimate.
+fn progress_line(estimate: &Estimate, regions: usize, detailed: usize, done: bool) -> LiveProgress {
+    LiveProgress {
+        regions: regions as u64,
+        clusters: estimate.clusters.len() as u64,
+        detailed: detailed as u64,
+        predicted: (regions - detailed) as u64,
+        detailed_pct: detailed as f64 / regions as f64,
+        est_cycles: estimate.prediction.total_cycles,
+        est_ipc: estimate.prediction.ipc,
+        done,
+    }
 }
 
 /// Re-runs one region in detailed mode from `start`, the snapshot at its
@@ -525,52 +487,6 @@ pub fn run_live_job(
     Ok(LiveSummary::from_outcome(&outcome))
 }
 
-/// Builds the accuracy-attribution report for one live run — the live
-/// sibling of [`crate::diagnose`]: each live cluster's representative is
-/// its *last detailed simulation*, the multiplier is the ratio of the
-/// cluster's estimated cycles to that representative's cycles (so
-/// predicted contributions sum exactly to the live estimate), and the
-/// distances come from classify time. `lp-diag` then decomposes the error
-/// into representativeness / warmup / residual exactly as for two-phase
-/// runs.
-pub fn diagnose_live(
-    workload: &str,
-    nthreads: usize,
-    outcome: &LiveOutcome,
-    full: Option<&SimStats>,
-    obs: &Observer,
-) -> DiagReport {
-    let inputs: Vec<ClusterInput> = outcome
-        .clusters
-        .iter()
-        .map(|c| ClusterInput {
-            cluster: c.cluster,
-            slice_index: c.rep.region,
-            multiplier: if c.rep.cycles > 0 {
-                c.est_cycles / c.rep.cycles as f64
-            } else {
-                0.0
-            },
-            cluster_filtered_insts: c.filtered_insts,
-            rep_cycles: c.rep.cycles,
-            rep_instructions: c.rep.instructions,
-            // A live representative starts warm, at its own start marker:
-            // nothing is fast-forwarded, so nothing is charged to warm-up.
-            ff_instructions: 0,
-            rep_distance: c.rep_distance,
-            mean_member_distance: c.mean_member_distance,
-        })
-        .collect();
-    crate::diagnose::report(
-        workload,
-        nthreads,
-        "live",
-        &inputs,
-        full.map_or(outcome.est_total_cycles, |s| s.cycles as f64),
-        obs,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,64 +525,24 @@ mod tests {
         assert!(outcome.est_total_cycles > 0.0);
         // Partial results: one per region plus the final done line.
         assert_eq!(partials.len(), outcome.regions.len() + 1);
-        assert!(partials.last().unwrap().done);
+        let last = partials.last().unwrap();
+        assert!(last.done);
         assert!(!partials[0].done);
+        // The stream's last line is the outcome's estimate, bit for bit.
+        assert_eq!(
+            last.est_cycles.to_bits(),
+            outcome.est_total_cycles.to_bits()
+        );
+        assert_eq!(last.est_ipc.to_bits(), outcome.est_ipc().to_bits());
         // The estimate lands near the measured whole-program run.
         let full = simulate_whole(&program, nthreads, &simcfg).unwrap();
-        let err = (outcome.est_total_cycles - full.cycles as f64).abs() / full.cycles as f64;
+        let err = crate::error_pct(outcome.est_total_cycles, full.cycles as f64);
         assert!(
-            err < 0.25,
-            "live estimate off by {:.1}% (est {}, actual {})",
-            err * 100.0,
+            err < 25.0,
+            "live estimate off by {err:.1}% (est {}, actual {})",
             outcome.est_total_cycles,
             full.cycles
         );
-    }
-
-    #[test]
-    fn diagnose_live_errors_sum_exactly() {
-        let nthreads = 2;
-        let program = phased_program(nthreads, WaitPolicy::Passive, 8);
-        let simcfg = SimConfig::gainestown(nthreads);
-        let obs = Observer::enabled();
-        let cfg = LiveConfig {
-            obs: obs.clone(),
-            ..LiveConfig::with_slice_base(2_000)
-        };
-        let outcome = analyze_live(&program, nthreads, &cfg, &simcfg, &mut |_| {}).unwrap();
-        let full = simulate_whole(&program, nthreads, &simcfg).unwrap();
-
-        let report = diagnose_live("phased", nthreads, &outcome, Some(&full), &obs);
-        assert_eq!(report.clusters.len(), outcome.clusters.len());
-        // Σ pred_c equals the live estimate, so attributed errors sum to
-        // the end-to-end live error exactly.
-        assert!(
-            (report.predicted_cycles - outcome.est_total_cycles).abs()
-                <= 1e-9 * outcome.est_total_cycles.max(1.0)
-        );
-        let sum: f64 = report.clusters.iter().map(|c| c.error_cycles).sum();
-        assert!(
-            (sum - report.error_cycles).abs() <= 1e-9 * report.error_cycles.abs().max(1.0),
-            "Σe_c = {sum} vs {}",
-            report.error_cycles
-        );
-    }
-
-    /// A live representative starts warm at its own start marker: nothing
-    /// is fast-forwarded, so no cluster's error is charged to warm-up.
-    #[test]
-    fn diagnose_live_charges_nothing_to_warmup() {
-        let nthreads = 2;
-        let program = phased_program(nthreads, WaitPolicy::Passive, 8);
-        let simcfg = SimConfig::gainestown(nthreads);
-        let obs = Observer::enabled();
-        let outcome = analyze_live(&program, nthreads, &live_cfg(), &simcfg, &mut |_| {}).unwrap();
-        let full = simulate_whole(&program, nthreads, &simcfg).unwrap();
-        let report = diagnose_live("phased", nthreads, &outcome, Some(&full), &obs);
-        assert!(report.clusters.iter().any(|c| c.error_cycles != 0.0));
-        for c in &report.clusters {
-            assert_eq!(c.components.warmup, 0.0, "cluster {}", c.cluster);
-        }
     }
 
     #[test]

@@ -67,17 +67,6 @@ pub struct Analysis {
     pub looppoints: Vec<LoopPointRegion>,
 }
 
-impl Analysis {
-    /// Sum of multiplier-weighted filtered instructions — equals the
-    /// whole-program filtered count by construction (a useful invariant).
-    pub fn reconstructed_filtered_insts(&self) -> f64 {
-        self.looppoints
-            .iter()
-            .map(|r| r.filtered_insts as f64 * r.multiplier)
-            .sum()
-    }
-}
-
 /// Runs the one-time, up-front application analysis (§III-A through
 /// §III-E): records a flow-controlled pinball with the DCFG builder riding
 /// the recording, replays it once (loop-aligned spin-filtered BBV slicing),

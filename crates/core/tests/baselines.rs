@@ -3,10 +3,9 @@
 //! policy, time-based sampling is accurate but visit-bound.
 
 use looppoint::baselines::{
-    analyze_barrierpoint, analyze_naive, extrapolate_naive, simulate_naive_regions,
-    time_based_sampling,
+    analyze_barrierpoint, analyze_naive, simulate_naive_regions, time_based_sampling,
 };
-use looppoint::{analyze, error_pct, simulate_whole, LoopPointConfig};
+use looppoint::{analyze, error_pct, simulate_whole, LoopPointConfig, Prediction};
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
 use lp_workloads::{build, InputClass};
@@ -97,9 +96,12 @@ fn naive_simpoint_errs_more_under_active_policy() {
         )
         .unwrap();
         let results = simulate_naive_regions(&naive, &p, n, &cfg, BUDGET).unwrap();
-        let predicted = extrapolate_naive(&results);
+        let predicted = Prediction::weighted(results.iter().map(|(r, s)| (r.multiplier, s)));
         let full = simulate_whole(&p, n, &cfg).unwrap();
-        errors.insert(policy.name(), error_pct(predicted, full.cycles as f64));
+        errors.insert(
+            policy.name(),
+            error_pct(predicted.total_cycles, full.cycles as f64),
+        );
     }
     let active = errors["active"];
     let passive = errors["passive"];

@@ -67,13 +67,26 @@ fn analysis_invariants() {
         analysis.profile.slices.len()
     );
 
-    // Eq. 2 invariant: multiplier-weighted representative sizes reconstruct
-    // the whole-program filtered instruction count exactly.
-    let reconstructed = analysis.reconstructed_filtered_insts();
+    // Eq. 2 invariant: each multiplier scales its representative to its
+    // cluster's filtered instructions, and the clusters together hold the
+    // whole-program filtered instruction count.
+    for lp in &analysis.looppoints {
+        let scaled = lp.filtered_insts as f64 * lp.multiplier;
+        let cluster = lp.cluster_filtered_insts as f64;
+        assert!(
+            (scaled - cluster).abs() / cluster < 1e-9,
+            "Eq. 2 exactness: {scaled} vs {cluster}"
+        );
+    }
+    let clustered: u64 = analysis
+        .looppoints
+        .iter()
+        .map(|lp| lp.cluster_filtered_insts)
+        .sum();
     let actual = analysis.profile.total_filtered as f64;
     assert!(
-        (reconstructed - actual).abs() / actual < 1e-9,
-        "Eq. 2 exactness: {reconstructed} vs {actual}"
+        (clustered as f64 - actual).abs() / actual < 1e-9,
+        "clusters hold {clustered} of {actual} filtered instructions"
     );
 
     // Region boundaries are main-image loop headers.

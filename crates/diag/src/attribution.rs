@@ -3,8 +3,8 @@
 //!
 //! # The accounting scheme
 //!
-//! Let `pred_c = rep_cycles_c × multiplier_c` be cluster *c*'s
-//! contribution to the extrapolated total (Eq. 1), and let
+//! Let `pred_c` be cluster *c*'s contribution to the estimate (its
+//! Eq. 1 term, as the estimator computed it), and let
 //! `weight_c = cluster_filtered_c / total_filtered` be the fraction of
 //! whole-program (spin-filtered) work the cluster stands for. The actual
 //! total is charged to clusters by weight, so the per-cluster signed
@@ -16,7 +16,8 @@
 //!
 //! Because `Σ pred_c` is the prediction and `Σ weight_c = 1` over a
 //! partition of the filtered work, `Σ e_c` equals the end-to-end signed
-//! error *exactly* — attribution never invents or loses error mass.
+//! error *exactly* (up to the order the estimator summed in) —
+//! attribution never invents or loses error mass.
 //!
 //! Each `e_c` is then split by cause:
 //!
@@ -36,16 +37,20 @@
 
 use crate::report::{ClusterDiag, ErrorComponents};
 
-/// Per-cluster observations feeding [`attribute`]. One entry per cluster,
-/// produced by the pipeline (see `looppoint::diagnose`).
-#[derive(Debug, Clone, PartialEq)]
+/// One cluster's sample of an estimate, feeding [`attribute`]. One entry
+/// per cluster, produced by the pipeline's estimator (see
+/// `looppoint::Estimate`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterInput {
     /// Cluster id (dense, `0..k`).
     pub cluster: usize,
     /// Profile index of the representative slice.
     pub slice_index: usize,
-    /// Eq. 2 multiplier of the representative region.
+    /// Eq. 2 multiplier of the representative region (reported only:
+    /// attribution reads `predicted_cycles`).
     pub multiplier: f64,
+    /// The cluster's contribution to the estimate, in cycles.
+    pub predicted_cycles: f64,
     /// Spin-filtered instructions across the whole cluster.
     pub cluster_filtered_insts: u64,
     /// Detailed cycles the representative's simulation took.
@@ -85,26 +90,41 @@ fn guarded_ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Decomposes the extrapolation error of one workload run into
-/// per-cluster, per-cause signed contributions (see the module docs for
-/// the scheme and its exact-sum invariants).
+/// Absolute percentage error of a prediction against the measured value:
+/// `0/0` is 0 % and anything against a zero measurement is infinite.
+pub fn error_pct(predicted: f64, actual: f64) -> f64 {
+    if actual == 0.0 {
+        if predicted == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        ((predicted - actual) / actual * 100.0).abs()
+    }
+}
+
+/// Decomposes the error of one estimate into per-cluster, per-cause
+/// signed contributions (see the module docs for the scheme and its
+/// exact-sum invariants).
 ///
-/// `actual_cycles` is the measured whole-program total the prediction is
-/// judged against. Pass the prediction itself when no reference run
-/// exists — every error then attributes to exactly zero, which keeps the
-/// report well-formed for pipelines that skip the full-simulation
-/// baseline.
-pub fn attribute(inputs: &[ClusterInput], actual_cycles: f64) -> Attribution {
+/// `predicted_cycles` is the estimate's whole-program total, the sum of
+/// the inputs' `predicted_cycles`. `actual_cycles` is the measured
+/// whole-program total the prediction is judged against. Pass the
+/// prediction itself when no reference run exists — every error then
+/// attributes to exactly zero, which keeps the report well-formed for
+/// pipelines that skip the full-simulation baseline.
+pub fn attribute(
+    inputs: &[ClusterInput],
+    predicted_cycles: f64,
+    actual_cycles: f64,
+) -> Attribution {
     let total_filtered: u64 = inputs.iter().map(|c| c.cluster_filtered_insts).sum();
-    let predicted: f64 = inputs
-        .iter()
-        .map(|c| c.rep_cycles as f64 * c.multiplier)
-        .sum();
 
     let clusters = inputs
         .iter()
         .map(|c| {
-            let pred_c = c.rep_cycles as f64 * c.multiplier;
+            let pred_c = c.predicted_cycles;
             let weight = if total_filtered == 0 {
                 0.0
             } else {
@@ -137,13 +157,7 @@ pub fn attribute(inputs: &[ClusterInput], actual_cycles: f64) -> Attribution {
                 predicted_cycles: pred_c,
                 attributed_actual_cycles: attributed_actual,
                 error_cycles: error,
-                error_pct: if attributed_actual != 0.0 {
-                    (error / attributed_actual * 100.0).abs()
-                } else if error == 0.0 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                },
+                error_pct: error_pct(pred_c, attributed_actual),
                 rep_distance: c.rep_distance,
                 mean_member_distance: c.mean_member_distance,
                 components: ErrorComponents {
@@ -155,19 +169,12 @@ pub fn attribute(inputs: &[ClusterInput], actual_cycles: f64) -> Attribution {
         })
         .collect::<Vec<_>>();
 
-    let error_cycles = predicted - actual_cycles;
     Attribution {
         clusters,
-        predicted_cycles: predicted,
+        predicted_cycles,
         actual_cycles,
-        error_cycles,
-        error_pct: if actual_cycles != 0.0 {
-            (error_cycles / actual_cycles * 100.0).abs()
-        } else if error_cycles == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        },
+        error_cycles: predicted_cycles - actual_cycles,
+        error_pct: error_pct(predicted_cycles, actual_cycles),
     }
 }
 
@@ -180,6 +187,7 @@ mod tests {
             cluster,
             slice_index: cluster * 2,
             multiplier: mult,
+            predicted_cycles: cycles as f64 * mult,
             cluster_filtered_insts: filtered,
             rep_cycles: cycles,
             rep_instructions: cycles * 2,
@@ -187,6 +195,11 @@ mod tests {
             rep_distance: 0.1,
             mean_member_distance: 0.4,
         }
+    }
+
+    /// The estimate's total over `inputs`.
+    fn total(inputs: &[ClusterInput]) -> f64 {
+        inputs.iter().map(|c| c.predicted_cycles).sum()
     }
 
     #[test]
@@ -197,7 +210,7 @@ mod tests {
             input(2, 2.5, 2_500, 400),
         ];
         let actual = 4_500.0;
-        let a = attribute(&inputs, actual);
+        let a = attribute(&inputs, total(&inputs), actual);
         let sum: f64 = a.clusters.iter().map(|c| c.error_cycles).sum();
         assert!(
             (sum - a.error_cycles).abs() < 1e-9,
@@ -210,7 +223,7 @@ mod tests {
     #[test]
     fn components_sum_exactly_to_cluster_error() {
         let inputs = vec![input(0, 7.3, 10, 999), input(1, 0.2, 90, 123)];
-        let a = attribute(&inputs, 1_234.5);
+        let a = attribute(&inputs, total(&inputs), 1_234.5);
         for c in &a.clusters {
             let s =
                 c.components.representativeness + c.components.warmup + c.components.extrapolation;
@@ -225,7 +238,7 @@ mod tests {
     #[test]
     fn perfect_prediction_attributes_zero_everywhere() {
         let inputs = vec![input(0, 2.0, 100, 500)];
-        let a = attribute(&inputs, 1_000.0); // pred = 500*2 = actual
+        let a = attribute(&inputs, total(&inputs), 1_000.0); // pred = 500*2 = actual
         assert_eq!(a.error_cycles, 0.0);
         assert_eq!(a.error_pct, 0.0);
         let c = &a.clusters[0];
@@ -241,7 +254,7 @@ mod tests {
         i.rep_distance = 10.0; // ρ clamps to 1
         i.mean_member_distance = 0.5;
         i.ff_instructions = 1_000_000; // β near 1; ρ+β > 1 → rescale
-        let a = attribute(&[i], 50.0);
+        let a = attribute(&[i], 100.0, 50.0);
         let c = &a.clusters[0];
         let s = c.components.representativeness + c.components.warmup + c.components.extrapolation;
         assert!((s - c.error_cycles).abs() < 1e-9);
@@ -256,7 +269,7 @@ mod tests {
         i.mean_member_distance = 0.0;
         i.ff_instructions = 0;
         i.rep_instructions = 0;
-        let a = attribute(&[i], 0.0);
+        let a = attribute(&[i], 0.0, 0.0);
         assert_eq!(a.error_cycles, 0.0);
         assert_eq!(a.error_pct, 0.0);
         let c = &a.clusters[0];
@@ -268,9 +281,17 @@ mod tests {
     fn no_reference_run_means_zero_error() {
         let inputs = vec![input(0, 2.0, 60, 300), input(1, 1.0, 40, 400)];
         let predicted = 300.0 * 2.0 + 400.0;
-        let a = attribute(&inputs, predicted);
+        let a = attribute(&inputs, predicted, predicted);
         assert_eq!(a.error_cycles, 0.0);
         let sum: f64 = a.clusters.iter().map(|c| c.error_cycles).sum();
         assert!(sum.abs() < 1e-9);
+    }
+
+    #[test]
+    fn error_pct_semantics() {
+        assert!((error_pct(110.0, 100.0) - 10.0).abs() < 1e-12);
+        assert!((error_pct(90.0, 100.0) - 10.0).abs() < 1e-12);
+        assert_eq!(error_pct(0.0, 0.0), 0.0);
+        assert!(error_pct(1.0, 0.0).is_infinite());
     }
 }

@@ -34,7 +34,7 @@ pub mod attribution;
 pub mod profile;
 pub mod report;
 
-pub use attribution::{attribute, Attribution, ClusterInput};
+pub use attribution::{attribute, error_pct, Attribution, ClusterInput};
 pub use profile::{PhaseCost, SelfProfile};
 pub use report::{ClusterDiag, DiagReport, ErrorComponents};
 

@@ -401,6 +401,7 @@ mod tests {
                 cluster: 0,
                 slice_index: 2,
                 multiplier: 3.25,
+                predicted_cycles: 3_250.0,
                 cluster_filtered_insts: 3_000,
                 rep_cycles: 1_000,
                 rep_instructions: 2_400,
@@ -412,6 +413,7 @@ mod tests {
                 cluster: 1,
                 slice_index: 5,
                 multiplier: 1.0,
+                predicted_cycles: 700.0,
                 cluster_filtered_insts: 1_000,
                 rep_cycles: 700,
                 rep_instructions: 1_500,
@@ -420,7 +422,7 @@ mod tests {
                 mean_member_distance: 0.0,
             },
         ];
-        let attribution = attribute(&inputs, 4_000.0);
+        let attribution = attribute(&inputs, 3_950.0, 4_000.0);
         let profile = SelfProfile {
             wall_us: 12_345,
             phases: vec![PhaseCost {

@@ -26,6 +26,7 @@ fn arb_cluster_input() -> impl Strategy<Value = ClusterInput> {
                 cluster: 0, // densified below, once the vector length is known
                 slice_index: 0,
                 multiplier,
+                predicted_cycles: cycles as f64 * multiplier,
                 cluster_filtered_insts: filtered,
                 rep_cycles: cycles,
                 rep_instructions: insts,
@@ -34,6 +35,11 @@ fn arb_cluster_input() -> impl Strategy<Value = ClusterInput> {
                 mean_member_distance: mean_d,
             },
         )
+}
+
+/// The estimate's total over `inputs`.
+fn total(inputs: &[ClusterInput]) -> f64 {
+    inputs.iter().map(|c| c.predicted_cycles).sum()
 }
 
 fn arb_inputs() -> impl Strategy<Value = Vec<ClusterInput>> {
@@ -49,7 +55,7 @@ fn arb_inputs() -> impl Strategy<Value = Vec<ClusterInput>> {
 proptest! {
     #[test]
     fn cluster_errors_sum_to_total(inputs in arb_inputs(), actual in 0.0f64..1e9) {
-        let a = attribute(&inputs, actual);
+        let a = attribute(&inputs, total(&inputs), actual);
         let sum: f64 = a.clusters.iter().map(|c| c.error_cycles).sum();
         let tolerance = 1e-9 * a.error_cycles.abs().max(1.0);
         prop_assert!(
@@ -62,7 +68,7 @@ proptest! {
 
     #[test]
     fn components_sum_to_cluster_error(inputs in arb_inputs(), actual in 0.0f64..1e9) {
-        let a = attribute(&inputs, actual);
+        let a = attribute(&inputs, total(&inputs), actual);
         for c in &a.clusters {
             let s = c.components.representativeness
                 + c.components.warmup
@@ -84,7 +90,7 @@ proptest! {
         nthreads in 1u64..64,
         wall in 0u64..1_000_000,
     ) {
-        let attribution = attribute(&inputs, actual);
+        let attribution = attribute(&inputs, total(&inputs), actual);
         let profile = SelfProfile {
             wall_us: wall,
             phases: vec![PhaseCost {

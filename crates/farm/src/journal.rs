@@ -1,13 +1,11 @@
 //! Incremental queue journal with group-committed fsync (format v2).
 //!
-//! The v1 journal rewrote the entire queue file — and paid a full
-//! serialize + `fsync` + rename — on *every* transition, while holding
-//! the farm state lock. Under a submission burst that turns the
-//! journal into the data plane's bottleneck: N accepted jobs cost
-//! O(N²) bytes of rewrite and N fsyncs.
-//!
-//! v2 is an append-only transition log plus a periodically compacted
-//! snapshot:
+//! Rewriting the entire queue file — a full serialize + `fsync` + rename
+//! — on *every* transition, while holding the farm state lock, would
+//! make the journal the data plane's bottleneck under a submission
+//! burst: N accepted jobs would cost O(N²) bytes of rewrite and N
+//! fsyncs. The journal is instead an append-only transition log plus a
+//! periodically compacted snapshot:
 //!
 //! * **Log** (`farm-queue.log`): one NDJSON record per transition,
 //!   each carrying a monotonically increasing `seq`. Ops are
@@ -17,9 +15,9 @@
 //!   a dedicated writer thread with **group commit**: all records
 //!   accumulated during one flush window share a single `fsync`, so a
 //!   burst of K transitions costs one disk sync, not K.
-//! * **Snapshot** (`farm-queue.json`): the materialized durable set,
-//!   shaped exactly like the v1 document (`next_id` + `jobs` array)
-//!   plus `version: 2` and the `seq` through which it is current.
+//! * **Snapshot** (`farm-queue.json`): the materialized durable set
+//!   (`next_id` + `jobs` array) with `version: 2` and the `seq` through
+//!   which it is current.
 //!   When the log outgrows `compact_factor` × the snapshot size, the
 //!   writer compacts: atomically rewrites the snapshot and truncates
 //!   the log.
@@ -29,8 +27,8 @@
 //! between the snapshot rename and the log truncate only leaves
 //! already-covered records behind). A torn final record — the only
 //! kind of damage an append-only log can suffer from `SIGKILL` — is
-//! dropped, never fatal. v1 documents restore through the same path
-//! (`version: 1`, no log).
+//! dropped, never fatal. A snapshot without `version: 2` and a `seq`
+//! is not restored: opening it fails with `InvalidData`.
 
 use crate::job::JobSpec;
 use lp_obs::json::Value;
@@ -43,12 +41,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::{io, time::Duration};
 
-/// Snapshot file name inside the farm directory (same name as the v1
-/// journal — a v2 farm adopts a v1 directory in place).
+/// Snapshot file name inside the farm directory.
 pub const JOURNAL_FILE: &str = "farm-queue.json";
 /// Append-only transition log next to the snapshot.
 pub const JOURNAL_LOG_FILE: &str = "farm-queue.log";
-/// Snapshot format version written by this module.
+/// Snapshot format version this module writes, and the only one it restores.
 const SNAPSHOT_VERSION: u64 = 2;
 /// Compaction floor: tiny snapshots shouldn't force compaction on
 /// every few records.
@@ -74,7 +71,7 @@ impl Default for JournalConfig {
     }
 }
 
-/// One durable job: exactly the v1 per-job payload.
+/// One durable job: the per-job payload of the snapshot's `jobs` array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistedJob {
     /// Farm-assigned job id (preserved across restarts).
@@ -255,7 +252,7 @@ impl Journal {
     }
 
     /// A job entered the durable set (fresh primary or dedup follower —
-    /// followers persist as plain jobs, v1 parity).
+    /// followers persist as plain jobs).
     pub fn enqueue(&self, job: PersistedJob) {
         self.append(
             "enqueue",
@@ -349,7 +346,7 @@ impl Journal {
 
     /// Flushes everything and forces a compaction, leaving the snapshot
     /// alone as the complete durable state (empty log). Used at farm
-    /// join so external readers see a plain v1-shaped document.
+    /// join so external readers see the whole durable set in one document.
     pub fn checkpoint(&self) {
         let mut st = self.inner.state.lock().expect("journal lock");
         st.force_compact = true;
@@ -412,9 +409,18 @@ fn replay(dir: &Path) -> io::Result<Replayed> {
             let doc = lp_obs::json::parse(&text).map_err(|e| {
                 io::Error::new(io::ErrorKind::InvalidData, format!("{snap_path:?}: {e}"))
             })?;
-            // v1 documents have no seq; every log record (if a log
-            // even exists) postdates them.
-            snap_seq = doc.get("seq").and_then(Value::as_u64).unwrap_or(0);
+            let version = doc.get("version").and_then(Value::as_u64);
+            snap_seq = match (version, doc.get("seq").and_then(Value::as_u64)) {
+                (Some(SNAPSHOT_VERSION), Some(seq)) => seq,
+                _ => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{snap_path:?}: not a version {SNAPSHOT_VERSION} snapshot with a seq"
+                        ),
+                    ))
+                }
+            };
             if let Some(n) = doc.get("next_id").and_then(Value::as_u64) {
                 next_id = next_id.max(n);
             }
@@ -544,7 +550,7 @@ fn writer_loop(inner: &Arc<JournalInner>, mut log_file: File) {
                 buf.push_str(line);
                 buf.push('\n');
             }
-            // Best-effort like v1: a failed write must not take the farm
+            // Best-effort: a failed write must not take the farm
             // down; the records stay applied in the view and the next
             // compaction rewrites the full state anyway.
             if log_file.write_all(buf.as_bytes()).is_ok() && log_file.sync_data().is_ok() {

@@ -1,9 +1,9 @@
 //! Property tests for the v2 transition journal: an arbitrary op
 //! sequence restored from append-only log + snapshot must materialize
-//! exactly the same durable set as the v1 full-rewrite semantics (the
-//! in-test model), with or without compactions interleaved; a torn log
-//! tail is dropped, never fatal; and v1 documents restore through the
-//! compat path.
+//! exactly the same durable set as full-rewrite semantics (the in-test
+//! model), with or without compactions interleaved; a torn log tail is
+//! dropped, never fatal; and a snapshot that is not version 2 with a
+//! `seq` is refused.
 
 use lp_farm::{JobSpec, Journal, JournalConfig, PersistedJob, JOURNAL_FILE, JOURNAL_LOG_FILE};
 use lp_obs::Observer;
@@ -38,7 +38,7 @@ fn job(id: u64) -> PersistedJob {
     }
 }
 
-/// The v1 semantics: the durable set a full-rewrite journal would hold
+/// Full-rewrite semantics: the durable set a full-rewrite journal would hold
 /// after the same transitions, as id → (attempts, program).
 type Model = BTreeMap<u64, (u32, String)>;
 
@@ -166,49 +166,21 @@ proptest! {
     }
 }
 
-/// v1 full-rewrite documents (no `seq`, no log) restore through the
-/// same open path, and the first compaction upgrades them to v2.
+/// A snapshot without `version: 2` and a `seq` is refused as
+/// `InvalidData`, not restored as if it were current.
 #[test]
-fn v1_document_restores_via_compat_path() {
-    let dir = tmpdir("v1compat");
-    let spec = JobSpec::default();
-    let doc = format!(
-        "{{\"version\":1,\"next_id\":7,\"jobs\":[\
-         {{\"id\":3,\"key\":\"{key}\",\"attempts\":1,\"submitted_us\":555,\
-         \"traceparent\":\"\",\"spec\":{spec}}}]}}",
-        key = "k".repeat(32),
-        spec = spec.to_value()
-    );
-    std::fs::write(dir.join(JOURNAL_FILE), &doc).unwrap();
-
-    let journal = Journal::open(&dir, JournalConfig::default(), Observer::disabled()).unwrap();
-    let view = journal.view();
-    assert_eq!(view.next_id, 7);
-    assert_eq!(view.jobs.len(), 1);
-    assert_eq!(view.jobs[0].id, 3);
-    assert_eq!(view.jobs[0].attempts, 1);
-    assert_eq!(view.jobs[0].submitted_us, 555);
-
-    // Appending + checkpointing over a v1 directory writes a v2
-    // snapshot that still carries the restored job.
-    journal.enqueue(PersistedJob {
-        id: 9,
-        key: "x".repeat(32),
-        attempts: 0,
-        submitted_us: 777,
-        traceparent: String::new(),
-        spec: JobSpec::default(),
-    });
-    journal.checkpoint();
-    drop(journal);
-
-    let snapshot = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
-    let v = lp_obs::json::parse(&snapshot).unwrap();
-    use lp_obs::json::Value;
-    assert_eq!(v.get("version").and_then(Value::as_u64), Some(2));
-    assert_eq!(
-        v.get("jobs").and_then(Value::as_arr).map(<[Value]>::len),
-        Some(2)
-    );
+fn snapshot_without_version_2_and_seq_is_invalid_data() {
+    let dir = tmpdir("badsnap");
+    for doc in [
+        r#"{"version":1,"next_id":7,"jobs":[]}"#,
+        r#"{"next_id":7,"jobs":[]}"#,
+        r#"{"version":2,"next_id":7,"jobs":[]}"#,
+    ] {
+        std::fs::write(dir.join(JOURNAL_FILE), doc).unwrap();
+        let err = Journal::open(&dir, JournalConfig::default(), Observer::disabled())
+            .err()
+            .unwrap_or_else(|| panic!("{doc} must not restore"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{doc}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

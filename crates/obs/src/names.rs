@@ -10,8 +10,6 @@
 pub const CAT_STORE: &str = "store";
 /// Span category for diagnostics (accuracy attribution) operations.
 pub const CAT_DIAG: &str = "diag";
-/// Span category for the live telemetry endpoint.
-pub const CAT_SERVE: &str = "serve";
 
 /// Counter: a requested artifact was found, verified, and decoded.
 pub const STORE_HIT: &str = "store.hit";

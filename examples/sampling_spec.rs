@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --release --example sampling_spec [app-name]`
 
-use looppoint::baselines::{analyze_naive, extrapolate_naive, simulate_naive_regions};
+use looppoint::baselines::{analyze_naive, simulate_naive_regions};
 use looppoint::{
-    error_pct, extrapolate, run_pipeline, simulate_whole, LoopPointConfig, SimOptions, FROM_RESET,
+    error_pct, extrapolate, run_pipeline, simulate_whole, LoopPointConfig, Prediction, SimOptions,
+    FROM_RESET,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -50,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             u64::MAX,
         )?;
         let naive_results = simulate_naive_regions(&naive, &program, nthreads, &simcfg, u64::MAX)?;
-        let naive_err = error_pct(extrapolate_naive(&naive_results), full.cycles as f64);
+        let naive_prediction =
+            Prediction::weighted(naive_results.iter().map(|(r, s)| (r.multiplier, s)));
+        let naive_err = error_pct(naive_prediction.total_cycles, full.cycles as f64);
 
         println!(
             "{:<10} {:>15.2}% {:>15.2}%",

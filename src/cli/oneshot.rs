@@ -4,7 +4,7 @@
 
 use super::{config_error, exit_for, open_store, pipeline_error, Matches};
 use looppoint::{
-    diagnose, error_pct, extrapolate, run_pipeline, simulate_whole, speedups, DiagReport,
+    diagnose, error_pct, run_pipeline, simulate_whole, speedups, DiagReport, Estimate,
     LoopPointConfig, SimOptions, WARMUP_SLICES,
 };
 use lp_isa::Program;
@@ -129,7 +129,8 @@ fn run_one(
 
     obs.set_phase(&format!("extrapolate:{}", spec.name));
     lp_info!("[2/3] extrapolating whole-program performance ...");
-    let prediction = extrapolate(results);
+    let estimate = Estimate::two_phase(analysis, results);
+    let prediction = &estimate.prediction;
 
     if input == InputClass::Ref {
         // As in the paper, no full detailed reference at ref scale — so
@@ -148,7 +149,9 @@ fn run_one(
         );
         // No reference at ref scale: the report still carries weights,
         // distances, and the self-profile (errors attribute to zero).
-        return Ok(want_diag.then(|| diagnose(spec.name, nthreads, analysis, results, None, obs)));
+        return Ok(
+            want_diag.then(|| diagnose(spec.name, nthreads, "two-phase", &estimate, None, obs))
+        );
     }
 
     obs.set_phase(&format!("reference-sim:{}", spec.name));
@@ -184,7 +187,14 @@ fn run_one(
         return Ok(None);
     }
     obs.set_phase(&format!("diagnose:{}", spec.name));
-    let report = diagnose(spec.name, nthreads, analysis, results, Some(&full), obs);
+    let report = diagnose(
+        spec.name,
+        nthreads,
+        "two-phase",
+        &estimate,
+        Some(&full),
+        obs,
+    );
     if m.on("--diag-report") {
         lp_info!("\n{}", report.render_table());
     }
@@ -241,7 +251,8 @@ pub fn live(m: &Matches) -> ExitCode {
             }
         }
         if m.on("--diag-report") {
-            let report = looppoint::diagnose_live(spec.name, nthreads, &outcome, Some(&full), &obs);
+            let estimate = outcome.estimate();
+            let report = diagnose(spec.name, nthreads, "live", &estimate, Some(&full), &obs);
             lp_info!("\n{}", report.render_table());
             reports.push(report.to_value());
         }
