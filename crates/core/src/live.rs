@@ -20,10 +20,13 @@
 //!
 //! The one pass takes that snapshot where it stops at each region start.
 //! A [`lp_isa::MachineState`] shares every memory page not stored to since
-//! the previous snapshot, so it costs the pages the last region wrote, and
-//! the timing model the pass has been warming all along moves into the
-//! re-run. A detailed re-run therefore needs no warm-up leg and never
-//! re-executes anything outside its region.
+//! the previous snapshot, so it costs the pages the last region wrote. The
+//! timing model the pass has been warming all along is copied into one
+//! recycled model — the checkpoint a predicted region left unused, or the
+//! model a detailed re-run handed back — and a copy moves only the cache
+//! chunks the hierarchy has filled. That model moves into the re-run. A
+//! detailed re-run therefore needs no warm-up leg and never re-executes
+//! anything outside its region.
 //!
 //! Every decision is recorded, and every region folds into the run's
 //! [`Estimate`] as it is decided, so [`crate::diagnose`] decomposes
@@ -38,7 +41,7 @@ use lp_isa::{Machine, MachineState, PcTable, Program};
 use lp_live::{Action, Decision, DetailReason, LiveProgress, OnlineClassifier, StreamingSlicer};
 use lp_obs::{names, Observer};
 use lp_sim::{Mode, SimStats, Simulator, TimingModel};
-use lp_uarch::SimConfig;
+use lp_uarch::{CopyBytes, SimConfig};
 use std::sync::Arc;
 
 /// Configuration of a live-mode run.
@@ -153,6 +156,9 @@ pub struct LiveOutcome {
     pub total_insts: u64,
     /// Whole-program spin-filtered instruction count.
     pub total_filtered: u64,
+    /// What the region-start timing checkpoints copied, summed over the
+    /// run, against what dense copies would have.
+    pub checkpoint_bytes: CopyBytes,
 }
 
 impl LiveOutcome {
@@ -239,6 +245,11 @@ pub fn analyze_live(
         counts: PcTable::new(program),
     };
 
+    // The model the next start checkpoint copies into: the last one a
+    // predicted region left unused, or the last detailed re-run's.
+    let mut spare: Option<TimingModel> = None;
+    let mut checkpoint_bytes = CopyBytes::default();
+
     let mut regions: Vec<LiveRegionRecord> = Vec::new();
     let mut estimate = Estimate::default();
     let mut detailed_regions = 0usize;
@@ -266,7 +277,7 @@ pub fn analyze_live(
         let mut detailed: Option<LiveRepStats> = None;
         let est_cycles = match decision.action {
             Action::Detail(reason) => {
-                let stats = simulate_region_detailed(
+                let (stats, timing) = simulate_region_detailed(
                     &region,
                     start,
                     program,
@@ -275,6 +286,7 @@ pub fn analyze_live(
                     cfg.max_steps,
                     obs,
                 )?;
+                spare = Some(timing);
                 classifier.observe_detailed(
                     decision.cluster,
                     region.index,
@@ -295,6 +307,9 @@ pub fn analyze_live(
                 stats.cycles as f64
             }
             Action::Predict { ipc } => {
+                if let Some((_, timing)) = start.warm {
+                    spare = Some(timing);
+                }
                 obs.counter(names::LIVE_PREDICTED).inc();
                 if ipc > 0.0 {
                     region.total_insts as f64 / ipc
@@ -331,8 +346,13 @@ pub fn analyze_live(
             break;
         }
         // The main pass stopped on the next region's start marker.
+        let mut timing = spare
+            .take()
+            .unwrap_or_else(|| TimingModel::new(simcfg.clone(), nthreads));
+        sim.timing_checkpoint_into(&mut timing);
+        checkpoint_bytes = checkpoint_bytes + timing.copy_bytes();
         start = LiveCheckpoint {
-            warm: Some((sim.machine().snapshot(), sim.timing_checkpoint())),
+            warm: Some((sim.machine().snapshot(), timing)),
             counts: slicer.header_counts().clone(),
         };
     }
@@ -352,6 +372,7 @@ pub fn analyze_live(
         total_insts: slicer.total_insts(),
         total_filtered: slicer.total_filtered(),
         regions,
+        checkpoint_bytes,
     };
     span.arg("regions", outcome.regions.len());
     span.arg("clusters", outcome.clusters.len());
@@ -375,9 +396,10 @@ fn progress_line(estimate: &Estimate, regions: usize, detailed: usize, done: boo
 }
 
 /// Re-runs one region in detailed mode from `start`, the snapshot at its
-/// own start marker, to its end marker. The timing model moves out of the
-/// checkpoint: caches and predictors are as warm as the one pass left them,
-/// with no fast-forward leg.
+/// own start marker, to its end marker, and hands back the re-run's timing
+/// model for the next checkpoint to recycle. The timing model moves out of
+/// the checkpoint: caches and predictors are as warm as the one pass left
+/// them, with no fast-forward leg.
 fn simulate_region_detailed(
     region: &lp_live::LiveRegion,
     start: LiveCheckpoint,
@@ -386,7 +408,7 @@ fn simulate_region_detailed(
     simcfg: &SimConfig,
     max_steps: u64,
     obs: &Observer,
-) -> Result<SimStats, LoopPointError> {
+) -> Result<(SimStats, TimingModel), LoopPointError> {
     let mut span = obs.span(names::SPAN_LIVE_DETAIL, names::CAT_LIVE);
     span.arg("region", region.index);
     let mut rsim = match start.warm {
@@ -402,7 +424,7 @@ fn simulate_region_detailed(
     let stats = rsim.run_region(None, region.end, max_steps)?;
     span.arg("cycles", stats.cycles);
     span.arg("instructions", stats.instructions);
-    Ok(stats)
+    Ok((stats, rsim.into_timing()))
 }
 
 /// Compact, serializable outcome of one live job (the lp-farm wire format

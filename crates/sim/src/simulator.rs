@@ -208,6 +208,18 @@ impl Simulator {
         self.timing.clone()
     }
 
+    /// [`Simulator::timing_checkpoint`] into `into`, reusing its storage:
+    /// a recycled model takes the checkpoint without allocating.
+    pub fn timing_checkpoint_into(&self, into: &mut TimingModel) {
+        into.clone_from(&self.timing);
+    }
+
+    /// Ends the simulator and hands back its microarchitectural state, for
+    /// the next [`Simulator::timing_checkpoint_into`] to recycle.
+    pub fn into_timing(self) -> TimingModel {
+        self.timing
+    }
+
     /// Routes this simulator's spans, counters, and IPC heartbeats to
     /// `obs` instead of the process-global observer.
     pub fn set_observer(&mut self, obs: lp_obs::Observer) {

@@ -11,7 +11,7 @@ use crate::core_model::CoreTiming;
 use crate::simulator::Mode;
 use crate::stats::{add_branch, add_mem, SimStats};
 use lp_isa::{CtrlEvent, CtrlKind, Inst, InstClass, Retired};
-use lp_uarch::{BranchPredictor, CacheLevel, MemoryHierarchy, SimConfig};
+use lp_uarch::{BranchPredictor, CacheLevel, CopyBytes, MemoryHierarchy, SimConfig};
 
 /// Timing state for one multicore machine.
 ///
@@ -20,7 +20,11 @@ use lp_uarch::{BranchPredictor, CacheLevel, MemoryHierarchy, SimConfig};
 /// be forked *warm* (see `Simulator::from_machine_warm`): live mode pairs
 /// one of these with a functional `MachineState` at each region start, so
 /// a detailed re-run of the region keeps the pass's cache warmth.
-#[derive(Debug, Clone)]
+///
+/// A copy costs the cache chunks the hierarchy has filled, not its full
+/// geometry ([`TimingModel::copy_bytes`]), and `clone_from` copies into
+/// the storage a recycled model already has.
+#[derive(Debug)]
 pub struct TimingModel {
     cfg: SimConfig,
     warm_during_ff: bool,
@@ -56,6 +60,12 @@ impl TimingModel {
     /// The machine configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// Bytes a copy of this model moves, against a dense copy: the filled
+    /// chunks of the hierarchy plus every predictor table.
+    pub fn copy_bytes(&self) -> CopyBytes {
+        self.hierarchy.copy_bytes() + self.bps.iter().map(BranchPredictor::copy_bytes).sum()
     }
 
     /// Number of cores in use.
@@ -198,5 +208,29 @@ impl TimingModel {
             }
             CtrlKind::Ret => self.bps[tid].predict_return(ctrl.target),
         }
+    }
+}
+
+impl Clone for TimingModel {
+    fn clone(&self) -> Self {
+        TimingModel {
+            cfg: self.cfg.clone(),
+            warm_during_ff: self.warm_during_ff,
+            cores: self.cores.clone(),
+            hierarchy: self.hierarchy.clone(),
+            bps: self.bps.clone(),
+            icache_last_line: self.icache_last_line.clone(),
+        }
+    }
+
+    /// Field-wise, so the hierarchy copies into the storage this model
+    /// already has.
+    fn clone_from(&mut self, source: &Self) {
+        self.cfg.clone_from(&source.cfg);
+        self.warm_during_ff = source.warm_during_ff;
+        self.cores.clone_from(&source.cores);
+        self.hierarchy.clone_from(&source.hierarchy);
+        self.bps.clone_from(&source.bps);
+        self.icache_last_line.clone_from(&source.icache_last_line);
     }
 }

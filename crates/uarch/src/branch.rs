@@ -8,6 +8,7 @@
 //! mispredict *behaviour varies by code pattern and history*, giving regions
 //! distinguishable branch MPKI (Fig. 7b).
 
+use crate::chunked::CopyBytes;
 use lp_isa::Pc;
 
 /// Table sizes for [`BranchPredictor`].
@@ -106,6 +107,20 @@ impl BranchPredictor {
             btb: vec![(u64::MAX, Pc::INVALID); cfg.btb_entries],
             ras: Vec::with_capacity(cfg.ras_depth),
             stats: BranchStats::default(),
+        }
+    }
+
+    /// Bytes of its tables a copy moves: all of them, since every branch
+    /// writes them.
+    pub fn copy_bytes(&self) -> CopyBytes {
+        let bytes = self.bimodal.len()
+            + self.gshare.len()
+            + self.chooser.len()
+            + std::mem::size_of_val(self.btb.as_slice())
+            + std::mem::size_of_val(self.ras.as_slice());
+        CopyBytes {
+            copied: bytes,
+            dense: bytes,
         }
     }
 

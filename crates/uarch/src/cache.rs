@@ -1,5 +1,7 @@
 //! Set-associative LRU cache model.
 
+use crate::chunked::{ChunkedVec, CopyBytes};
+
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -64,12 +66,18 @@ pub enum Fill {
 /// one host cache line for an 8-way set — and writes one LRU stamp beside
 /// them, a way costs 16 bytes, and the whole cache is one zeroed
 /// allocation.
-#[derive(Debug, Clone)]
+///
+/// A copy costs what the cache holds, not what it could hold: only `fill`
+/// inserting into an invalid way can make a word non-zero, so it marks the
+/// 4 KiB chunks of the tag and stamp it writes, and `clone`/`clone_from`
+/// move only marked chunks. A hit only stamps a way some insert wrote, and
+/// `invalidate` only zeroes a tag.
+#[derive(Debug, PartialEq, Eq)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// Per set, `assoc` tags stored as `tag + 1` (0 marks an invalid way),
     /// then the `assoc` stamps of the ways' last touches.
-    sets: Vec<u64>,
+    sets: ChunkedVec<u64>,
     set_mask: u64,
     set_bits: u32,
     line_shift: u32,
@@ -91,7 +99,7 @@ impl SetAssocCache {
         );
         SetAssocCache {
             cfg,
-            sets: vec![0; (num_sets * 2 * u64::from(cfg.assoc)) as usize],
+            sets: ChunkedVec::new((num_sets * 2 * u64::from(cfg.assoc)) as usize),
             set_mask,
             set_bits,
             line_shift,
@@ -102,6 +110,11 @@ impl SetAssocCache {
     /// The cache's configuration.
     pub fn config(&self) -> CacheConfig {
         self.cfg
+    }
+
+    /// Bytes a copy of this cache moves, against its dense tag storage.
+    pub fn copy_bytes(&self) -> CopyBytes {
+        self.sets.copy_bytes()
     }
 
     /// Index in `sets` of `addr`'s set, and the stored (`tag + 1`) form of
@@ -151,7 +164,9 @@ impl SetAssocCache {
         let stamp = self.stamp;
         let (set_bits, line_shift) = (self.set_bits, self.line_shift);
         let set_index = (addr >> line_shift) & self.set_mask;
-        let (tags, stamps, tag) = self.locate(addr);
+        let assoc = self.cfg.assoc as usize;
+        let (base, tag) = self.index(addr);
+        let (tags, stamps) = self.sets[base..base + 2 * assoc].split_at_mut(assoc);
         if let Some(way) = tags.iter().position(|&t| t == tag) {
             stamps[way] = stamp;
             return Fill::Refreshed;
@@ -167,6 +182,12 @@ impl SetAssocCache {
             .then(|| (((tags[victim] - 1) << set_bits) | set_index) << line_shift);
         tags[victim] = tag;
         stamps[victim] = stamp;
+        if evicted.is_none() {
+            // The only writes that can make a word non-zero: a valid
+            // victim's tag and stamp were non-zero already.
+            self.sets.mark(base + victim);
+            self.sets.mark(base + assoc + victim);
+        }
         Fill::Inserted { evicted }
     }
 
@@ -189,6 +210,24 @@ impl SetAssocCache {
     pub fn probe(&self, addr: u64) -> bool {
         let (base, tag) = self.index(addr);
         self.sets[base..base + self.cfg.assoc as usize].contains(&tag)
+    }
+}
+
+impl Clone for SetAssocCache {
+    fn clone(&self) -> Self {
+        SetAssocCache {
+            sets: self.sets.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.sets.clone_from(&source.sets);
+        self.cfg = source.cfg;
+        self.set_mask = source.set_mask;
+        self.set_bits = source.set_bits;
+        self.line_shift = source.line_shift;
+        self.stamp = source.stamp;
     }
 }
 

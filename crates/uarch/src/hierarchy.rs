@@ -2,6 +2,7 @@
 //! invalidation-based coherence, and per-core statistics.
 
 use crate::cache::{Fill, SetAssocCache};
+use crate::chunked::{ChunkedVec, CopyBytes};
 use crate::config::SimConfig;
 use lp_isa::{Addr, Pc};
 
@@ -70,7 +71,10 @@ impl CoreMemStats {
 /// store probes only the cores whose count for the written page's slot is
 /// non-zero. A zero count proves absence, so invalidations, statistics and
 /// cycles are those of the full broadcast.
-#[derive(Debug, Clone)]
+///
+/// A copy moves only what the hierarchy holds: the caches' filled chunks
+/// and the snoop filter's, whose counts leave zero only in `track`.
+#[derive(Debug, PartialEq, Eq)]
 pub struct MemoryHierarchy {
     l1i: Vec<SetAssocCache>,
     l1d: Vec<SetAssocCache>,
@@ -83,7 +87,7 @@ pub struct MemoryHierarchy {
     /// Snoop filter, `[slot][core]`: lines of the slot's pages in the
     /// core's L1-D + L2 (L1-I is never probed by coherence, so not counted).
     /// `u32` cannot overflow for any cache that fits in memory.
-    held: Vec<u32>,
+    held: ChunkedVec<u32>,
     /// Address bits below the filter's page number: a 4 KiB page, or the
     /// largest private line if that is bigger, so no line spans two pages.
     page_shift: u32,
@@ -107,7 +111,7 @@ impl MemoryHierarchy {
             prefetch_next_line: cfg.prefetch_next_line,
             line_bytes: cfg.l1d.line_bytes,
             stats: vec![CoreMemStats::default(); cfg.ncores],
-            held: vec![0; cfg.ncores << FILTER_SLOT_BITS],
+            held: ChunkedVec::new(cfg.ncores << FILTER_SLOT_BITS),
             page_shift: 12.max(cfg.l1d.line_bytes.max(cfg.l2.line_bytes).trailing_zeros()),
         }
     }
@@ -120,6 +124,14 @@ impl MemoryHierarchy {
     /// Statistics for `core`.
     pub fn stats(&self, core: usize) -> CoreMemStats {
         self.stats[core]
+    }
+
+    /// Bytes a copy of this hierarchy moves, against its dense storage.
+    pub fn copy_bytes(&self) -> CopyBytes {
+        let private = self.l1i.iter().chain(&self.l1d).chain(&self.l2);
+        private.map(SetAssocCache::copy_bytes).sum::<CopyBytes>()
+            + self.l3.copy_bytes()
+            + self.held.copy_bytes()
     }
 
     /// Clears statistics (cache state is kept; used after warmup).
@@ -140,6 +152,9 @@ impl MemoryHierarchy {
         if let Fill::Inserted { evicted } = fill {
             let slot = self.held_index(core, addr);
             self.held[slot] += 1;
+            if self.held[slot] == 1 {
+                self.held.mark(slot);
+            }
             if let Some(old) = evicted {
                 let slot = self.held_index(core, old);
                 self.held[slot] -= 1;
@@ -266,6 +281,35 @@ impl MemoryHierarchy {
                 self.stats[core].invalidations += 1;
             }
         }
+    }
+}
+
+impl Clone for MemoryHierarchy {
+    fn clone(&self) -> Self {
+        MemoryHierarchy {
+            l1i: self.l1i.clone(),
+            l1d: self.l1d.clone(),
+            l2: self.l2.clone(),
+            l3: self.l3.clone(),
+            stats: self.stats.clone(),
+            held: self.held.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise, so every cache and the snoop filter copy into the
+    /// storage they already have.
+    fn clone_from(&mut self, source: &Self) {
+        self.l1i.clone_from(&source.l1i);
+        self.l1d.clone_from(&source.l1d);
+        self.l2.clone_from(&source.l2);
+        self.l3.clone_from(&source.l3);
+        self.stats.clone_from(&source.stats);
+        self.held.clone_from(&source.held);
+        self.mem_latency = source.mem_latency;
+        self.prefetch_next_line = source.prefetch_next_line;
+        self.line_bytes = source.line_bytes;
+        self.page_shift = source.page_shift;
     }
 }
 

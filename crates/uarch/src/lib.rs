@@ -22,10 +22,12 @@
 
 mod branch;
 mod cache;
+mod chunked;
 mod config;
 mod hierarchy;
 
 pub use branch::{BranchPredictor, BranchPredictorConfig, BranchStats};
 pub use cache::{CacheConfig, Fill, SetAssocCache};
+pub use chunked::CopyBytes;
 pub use config::{CoreModel, LatencyTable, SimConfig};
 pub use hierarchy::{AccessResult, CacheLevel, CoreMemStats, MemoryHierarchy};

@@ -1,7 +1,7 @@
 //! Property-based tests for caches and the memory hierarchy.
 
 use lp_isa::{Addr, ImageId, Pc};
-use lp_uarch::{CacheConfig, Fill, MemoryHierarchy, SetAssocCache, SimConfig};
+use lp_uarch::{AccessResult, CacheConfig, Fill, MemoryHierarchy, SetAssocCache, SimConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -240,6 +240,62 @@ mod reference {
     }
 }
 
+/// Geometries `(size_bytes, assoc)` at the edges of the 4 KiB chunks a
+/// copy moves (64-byte lines; a way costs 16 bytes of tag storage).
+const CHUNK_EDGES: [(u64, u32); 5] = [
+    (512, 2),          // 16 words: smaller than one chunk
+    (3 * 64 * 64, 3),  // 384 words: one short chunk, 6-word sets
+    (5 * 64 * 128, 5), // 1 280 words: 2.5 chunks, sets straddle chunk edges
+    (64 << 10, 1),     // direct-mapped, 4 chunks
+    (128 << 10, 8),    // 8 chunks
+];
+
+/// Runs `ops` — `(kind, pick, tag)`: an access, fill or invalidate of tag
+/// `tag` in the set `sets[pick]` names — on `cache`. A few sets leave most
+/// chunks empty while their own ways evict. A name with bit 12 set is the
+/// set holding the last word before a chunk edge (one that straddles it
+/// when sets do), else any set. Returns what each call reported.
+fn apply(
+    cache: &mut SetAssocCache,
+    ops: &[(u8, usize, u64)],
+    sets: &[u64],
+) -> Vec<(bool, Option<Fill>)> {
+    let (num_sets, set_words) = (
+        cache.config().num_sets(),
+        2 * u64::from(cache.config().assoc),
+    );
+    let chunks = (num_sets * set_words).div_ceil(512);
+    let set = |name: u64| match name >> 12 {
+        0 => name % num_sets,
+        _ => ((name % chunks + 1) * 512 - 1).min(num_sets * set_words - 1) / set_words,
+    };
+    ops.iter()
+        .map(|&(kind, pick, tag)| {
+            let addr = (tag * num_sets + set(sets[pick % sets.len()])) * 64;
+            match kind {
+                0 => (cache.access(addr), None),
+                1 => (false, Some(cache.fill(addr))),
+                _ => (cache.invalidate(addr), None),
+            }
+        })
+        .collect()
+}
+
+/// Runs hierarchy `ops` — `(core, kind, addr)`: a load or store, shared
+/// or private, or an instruction fetch — on `h`'s `ncores` cores.
+fn drive(h: &mut MemoryHierarchy, ncores: usize, ops: &[(usize, u8, u64)]) -> Vec<AccessResult> {
+    ops.iter()
+        .map(|&(core, kind, addr)| {
+            let core = core % ncores;
+            if kind == 4 {
+                h.access_inst(core, Pc::new(ImageId(0), (addr >> 2) as u32))
+            } else {
+                h.access_data(core, Addr(addr & !7), kind & 1 == 1, kind & 2 == 2)
+            }
+        })
+        .collect()
+}
+
 fn small_cache() -> SetAssocCache {
     SetAssocCache::new(CacheConfig {
         size_bytes: 1024,
@@ -355,5 +411,77 @@ proptest! {
         for core in 0..ncores {
             prop_assert_eq!(new.stats(core), old.stats[core], "core {}", core);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A copy that moves only the filled chunks is the dense copy: after
+    /// random histories, `clone()` and `clone_from()` over a cache with a
+    /// different filled set equal the source word for word (`==` compares
+    /// the whole tag storage), and all three then report the same hits,
+    /// misses and evictions for the same trace.
+    #[test]
+    fn sparse_cache_copies_are_dense_copies(
+        geometry in 0usize..CHUNK_EDGES.len(),
+        history in prop::collection::vec((0u8..3, 0usize..8, 0u64..12), 0..300),
+        history_sets in prop::collection::vec(0u64..1 << 13, 1..6),
+        other in prop::collection::vec((0u8..3, 0usize..8, 0u64..12), 0..300),
+        other_sets in prop::collection::vec(0u64..1 << 13, 1..6),
+        trace in prop::collection::vec((0u8..3, 0usize..8, 0u64..12), 0..200),
+    ) {
+        let (size_bytes, assoc) = CHUNK_EDGES[geometry];
+        let new = || SetAssocCache::new(CacheConfig { size_bytes, assoc, line_bytes: 64, latency: 1 });
+        let mut source = new();
+        apply(&mut source, &history, &history_sets);
+        let mut cloned = source.clone();
+        prop_assert!(cloned == source);
+        let mut recycled = new();
+        apply(&mut recycled, &other, &other_sets);
+        recycled.clone_from(&source);
+        prop_assert!(recycled == source);
+        prop_assert_eq!(recycled.copy_bytes(), source.copy_bytes());
+        prop_assert!(source.copy_bytes().copied <= source.copy_bytes().dense);
+
+        let both: Vec<u64> = history_sets.iter().chain(&other_sets).copied().collect();
+        let expect = apply(&mut source, &trace, &both);
+        prop_assert_eq!(&apply(&mut cloned, &trace, &both), &expect);
+        prop_assert_eq!(&apply(&mut recycled, &trace, &both), &expect);
+        prop_assert!(cloned == source && recycled == source);
+    }
+
+    /// The same for the whole hierarchy, snoop filter included, on 1-4
+    /// cores: copies equal the source and go on to give the same access
+    /// results and statistics.
+    #[test]
+    fn sparse_hierarchy_copies_are_dense_copies(
+        ncores in 1usize..5,
+        history in prop::collection::vec((0usize..4, 0u8..5, 0u64..1 << 17), 0..300),
+        other in prop::collection::vec((0usize..4, 0u8..5, 0u64..1 << 19), 0..300),
+        trace in prop::collection::vec((0usize..4, 0u8..5, 0u64..1 << 18), 0..200),
+    ) {
+        let mut cfg = SimConfig::gainestown(ncores);
+        cfg.l1i.size_bytes = 4 << 10;
+        cfg.l1d.size_bytes = 4 << 10;
+        cfg.l2.size_bytes = 32 << 10;
+        cfg.l3.size_bytes = 256 << 10;
+        let mut source = MemoryHierarchy::new(&cfg);
+        drive(&mut source, ncores, &history);
+        let mut cloned = source.clone();
+        prop_assert!(cloned == source);
+        let mut recycled = MemoryHierarchy::new(&cfg);
+        drive(&mut recycled, ncores, &other);
+        recycled.clone_from(&source);
+        prop_assert!(recycled == source);
+
+        let expect = drive(&mut source, ncores, &trace);
+        prop_assert_eq!(&drive(&mut cloned, ncores, &trace), &expect);
+        prop_assert_eq!(&drive(&mut recycled, ncores, &trace), &expect);
+        for core in 0..ncores {
+            prop_assert_eq!(cloned.stats(core), source.stats(core));
+            prop_assert_eq!(recycled.stats(core), source.stats(core));
+        }
+        prop_assert!(cloned == source && recycled == source);
     }
 }

@@ -263,6 +263,10 @@ pub fn live(m: &Matches) -> ExitCode {
         summary.push(("full_cycles".to_string(), Value::Int(cycles.into())));
         summary.push(("full_ipc".to_string(), Value::Num(ipc)));
         summary.push(("err_pct".to_string(), Value::Num(err)));
+        let kib = |bytes: usize| Value::Num(bytes as f64 / 1024.0);
+        let copied = outcome.checkpoint_bytes;
+        summary.push(("checkpoint_kib".to_string(), kib(copied.copied)));
+        summary.push(("checkpoint_dense_kib".to_string(), kib(copied.dense)));
         println!("{}", Value::Obj(summary));
         Ok(())
     };
