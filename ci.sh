@@ -484,13 +484,15 @@ wait "$LOAD_PID" || { cat "$LOAD_LOG" >&2; echo "farm-load-smoke: daemon exited 
 rm -rf "$LOAD_DIR"
 
 echo "== cluster-smoke (3-node ring, dedup, failover) =="
-# Three real daemon processes form a consistent-hash ring. Asserts the
-# three cluster claims end to end: (1) the same spec submitted to all
-# three nodes forwards to its key owner and computes exactly once
-# cluster-wide, (2) forwarded ids are minted from the owner's id range,
-# and (3) after kill -9 on a node with a journaled queue, the agreed
-# survivor re-adopts every accepted job under its original id, completes
-# it, and quarantines the dead journal.
+# Three real daemon processes form a consistent-hash ring over one shared
+# --store-dir. Asserts the three cluster claims end to end: (1) the same
+# spec submitted to all three nodes forwards to its key owner and
+# computes exactly once cluster-wide, and a non-owner made to run it
+# anyway reads the owner's result from the shared store, (2) forwarded
+# ids are minted from the owner's id range, and (3) after kill -9 on a
+# node with a journaled queue, the agreed survivor re-adopts every
+# accepted job under its original id, completes it, and quarantines the
+# dead journal.
 CLUSTER_ROOT="$PWD/target/ci-cluster"
 rm -rf "$CLUSTER_ROOT"
 mkdir -p "$CLUSTER_ROOT"
@@ -505,7 +507,7 @@ PY
 CL_ADDR_A="127.0.0.1:$CL_PORT_A"; CL_ADDR_B="127.0.0.1:$CL_PORT_B"; CL_ADDR_C="127.0.0.1:$CL_PORT_C"
 CL_DIR_A="$CLUSTER_ROOT/a"; CL_DIR_B="$CLUSTER_ROOT/b"; CL_DIR_C="$CLUSTER_ROOT/c"
 cluster_node() { # self-addr self-dir peer1 dir1 peer2 dir2 log
-  "${RUNNER[@]}" serve --node-addr "$1" --farm-dir "$2" --store-dir "$2/store" \
+  "${RUNNER[@]}" serve --node-addr "$1" --farm-dir "$2" --store-dir "$CLUSTER_ROOT/store" \
     --workers 1 --heartbeat-ms 100 --failure-threshold 3 --history-interval-ms 100 \
     --cluster-peer "$3=$4" --cluster-peer "$5=$6" > "$7" 2>&1 &
 }
@@ -528,9 +530,14 @@ for addr in "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C"; do
 done
 grep -q '"forwarded_to"' "$CLUSTER_ROOT/submit.log" \
   || { cat "$CLUSTER_ROOT/submit.log" >&2; echo "cluster-smoke: no submission was forwarded to the key owner" >&2; exit 1; }
-CL_COMPUTES=$(for addr in "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C"; do
-  curl -sf --max-time 5 "http://$addr/metrics" | sed -n 's/^farm_computes \([0-9]*\)$/\1/p'
-done | awk '{s+=$1} END {print s+0}')
+cl_sum() { # METRIC ADDR...: a /metrics counter summed over the nodes
+  local metric=$1 addr
+  shift
+  for addr in "$@"; do
+    curl -sf --max-time 5 "http://$addr/metrics" | sed -n "s/^$metric \([0-9]*\)$/\1/p"
+  done | awk '{s+=$1} END {print s+0}'
+}
+CL_COMPUTES=$(cl_sum farm_computes "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C")
 [ "$CL_COMPUTES" = "1" ] || { echo "cluster-smoke: expected 1 cluster-wide compute, got $CL_COMPUTES" >&2; exit 1; }
 python3 - "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C" "$CLUSTER_ROOT/submit.log" <<'PY'
 import json, sys
@@ -544,6 +551,42 @@ for o in fwd:
     assert got == want, f"id {o['id']} range {got} != owner ordinal {want}"
 print(f"cluster-smoke: 1 compute for 3 tenants, {len(fwd)} forwarded in owner id range")
 PY
+# (1), the shared store: pin the same spec onto a non-owner (the
+# forwarded marker bypasses ring forwarding). Its worker runs the job,
+# but the pipeline's first step, the summary load, hits the file the
+# owner wrote, so no node records a new store miss.
+read -r CL_OWNER CL_SPEC <<<"$(python3 - "$CLUSTER_ROOT/submit.log" <<'PY'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip().startswith("{")]
+owner = next(o["forwarded_to"] for o in lines if o.get("forwarded_to"))
+print(owner, json.dumps(next(r["spec"] for r in lines if "spec" in r), separators=(",", ":")))
+PY
+)"
+for addr in "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C"; do
+  [ "$addr" != "$CL_OWNER" ] && { CL_PIN=$addr; break; }
+done
+CL_MISSES=$(cl_sum store_miss "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C")
+CL_PIN_HITS=$(cl_sum store_hit "$CL_PIN")
+CL_PIN_ID=$(curl -sf --max-time 10 -H 'x-lp-forwarded: 1' \
+  --data-binary "$CL_SPEC" \
+  "http://$CL_PIN/jobs" | python3 -c 'import json, sys; print(json.loads(sys.stdin.readline())["id"])') \
+  || { echo "cluster-smoke: pinned duplicate to $CL_PIN failed" >&2; exit 1; }
+python3 - "$CL_PIN" "$CL_PIN_ID" <<'PY' || { echo "cluster-smoke: pinned duplicate $CL_PIN_ID did not finish" >&2; exit 1; }
+import json, sys, time, urllib.request
+addr, job = sys.argv[1], sys.argv[2]
+for _ in range(150):
+    body = urllib.request.urlopen(f"http://{addr}/jobs/{job}", timeout=5).read().decode()
+    rec = json.loads(body.strip().splitlines()[-1])
+    if rec["state"] in ("done", "failed", "cancelled"):
+        break
+    time.sleep(0.1)
+assert rec["state"] == "done", rec
+PY
+CL_MISSES_AFTER=$(cl_sum store_miss "$CL_ADDR_A" "$CL_ADDR_B" "$CL_ADDR_C")
+CL_PIN_HITS_AFTER=$(cl_sum store_hit "$CL_PIN")
+[ "$CL_MISSES_AFTER" = "$CL_MISSES" ] && [ "$CL_PIN_HITS_AFTER" -gt "$CL_PIN_HITS" ] \
+  || { echo "cluster-smoke: pinned duplicate on $CL_PIN recomputed (store misses $CL_MISSES -> $CL_MISSES_AFTER, hits there $CL_PIN_HITS -> $CL_PIN_HITS_AFTER)" >&2; exit 1; }
+echo "cluster-smoke: pinned duplicate on non-owner $CL_PIN served from the shared store (0 new misses)"
 # Observability plane, checked while the ring is still three nodes
 # wide: the federated rollup is the exact sum of the per-node counters,
 # the Prometheus rendering labels every node, each node serves >= 2

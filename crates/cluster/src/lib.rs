@@ -15,12 +15,13 @@
 //!   client gets the *owner's* job id back (per-node disjoint id ranges
 //!   make ids meaningful cluster-wide). A forwarded request carries the
 //!   `x-lp-forwarded` marker, capping forwarding at one hop.
-//! * **Cluster-wide dedup** ([`backend::ClusterBackend`]): before
-//!   computing a job, a node asks the key's owner (then the ring
-//!   successor replica) for the finished artifact and seeds its local
-//!   store on a hit — N identical jobs across the cluster cost one
-//!   compute. Freshly computed artifacts replicate asynchronously to
-//!   the successor, so the result survives the owner's death.
+//! * **Cluster-wide dedup of completed work**: nodes that should reuse
+//!   each other's results open one shared `--store-dir`. A store
+//!   directory is safe to share between processes without a lock
+//!   (content-addressed names, atomic installs), so a job pinned onto
+//!   a non-owner finds the owner's finished summary in the store and
+//!   costs no compute. Nodes move no artifacts over HTTP: results
+//!   travel through the filesystem, as adopted journals do.
 //! * **Failover** ([`membership`]): peers heartbeat each other's
 //!   `/cluster/healthz`. When a member dies, the ring rebalances and
 //!   the agreed adopter — owner of the dead node's name point in the
@@ -37,20 +38,19 @@
 //!   node; and `GET /jobs/{id}/trace` asked of the wrong node proxies
 //!   to the id's home node instead of answering 404.
 //!
-//! The design assumption for journal adoption is shared-filesystem
-//! visibility of peer farm directories (the multi-process-per-host and
-//! NFS deployments the smoke tests exercise); peers without a known
-//! directory still shard, forward, dedup, and rebalance — their queued
-//! jobs are simply not recoverable by others.
+//! The design assumption for journal adoption and result sharing is
+//! shared-filesystem visibility of peer farm directories and of the
+//! store directory (the multi-process-per-host and NFS deployments the
+//! smoke tests exercise); peers without a known directory still shard,
+//! forward, dedup on the owner, and rebalance — their queued jobs are
+//! simply not recoverable by others.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod membership;
 pub mod ring;
 
-pub use backend::ClusterBackend;
 pub use membership::{Membership, NodeSpec, PeerState, Transition};
 pub use ring::{Ring, DEFAULT_VNODES};
 
@@ -62,12 +62,11 @@ use lp_obs::metrics::MetricsSnapshot;
 use lp_obs::trace::TraceEvent;
 use lp_obs::tracectx::TraceId;
 use lp_obs::{export, federate, names, tracectx, Observer, TraceContext};
-use lp_store::{ArtifactKind, Store, StoreKey};
+use lp_store::{Store, StoreKey};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -91,7 +90,7 @@ pub struct ClusterConfig {
     pub heartbeat_ms: u64,
     /// Consecutive failed probes before a peer is declared dead.
     pub failure_threshold: u32,
-    /// Per-request timeout for forwards/fetches/probes (ms).
+    /// Per-request timeout for forwards, proxies and probes (ms).
     pub rpc_timeout_ms: u64,
 }
 
@@ -106,13 +105,6 @@ impl Default for ClusterConfig {
             rpc_timeout_ms: 5_000,
         }
     }
-}
-
-/// One queued artifact replication.
-struct Replication {
-    key: StoreKey,
-    kind: ArtifactKind,
-    payload: Vec<u8>,
 }
 
 /// How many forwarded-submission traces the submit side retains for
@@ -140,36 +132,35 @@ struct ForwardTraces {
 struct NodeInner {
     cfg: ClusterConfig,
     obs: Observer,
-    store: Option<Arc<Store>>,
     membership: Mutex<Membership>,
-    /// Attached after `Farm::start` (the farm's backend needs the node
-    /// first — see [`ClusterNode::backend`]).
+    /// Attached after `Farm::start` (the farm's id base comes from the
+    /// node's ordinal, so the node exists first).
     farm: OnceLock<Farm>,
-    /// Pooled keep-alive clients for forwards and artifact fetches,
-    /// one per peer address; per-peer locks so a slow peer stalls only
-    /// requests to itself.
+    /// Pooled keep-alive clients for forwards and proxies, one per peer
+    /// address; per-peer locks so a slow peer stalls only requests to
+    /// itself.
     clients: Mutex<HashMap<String, Arc<Mutex<FarmClient>>>>,
-    repl_tx: Mutex<Option<Sender<Replication>>>,
     forward_traces: Mutex<ForwardTraces>,
     stop: AtomicBool,
 }
 
-/// One cluster member's runtime: membership + heartbeats + forwarding +
-/// replication. Cheap to clone; all clones share the node.
+/// One cluster member's runtime: membership + heartbeats + forwarding.
+/// Cheap to clone; all clones share the node.
 #[derive(Clone)]
 pub struct ClusterNode {
     inner: Arc<NodeInner>,
 }
 
-/// Threads owned by a started node; joined by [`ClusterNode::stop`].
+/// The heartbeat thread of a started node; joined by
+/// [`ClusterNode::stop`].
 pub struct ClusterThreads {
-    handles: Vec<JoinHandle<()>>,
+    heartbeat: JoinHandle<()>,
 }
 
 impl ClusterNode {
     /// Builds the node state (no threads yet — call
     /// [`ClusterNode::start_threads`] after the farm is attached).
-    pub fn new(cfg: ClusterConfig, store: Option<Arc<Store>>, obs: Observer) -> ClusterNode {
+    pub fn new(cfg: ClusterConfig, obs: Observer) -> ClusterNode {
         let membership = Membership::new(
             &cfg.self_addr,
             &cfg.peers,
@@ -180,11 +171,9 @@ impl ClusterNode {
             inner: Arc::new(NodeInner {
                 cfg,
                 obs,
-                store,
                 membership: Mutex::new(membership),
                 farm: OnceLock::new(),
                 clients: Mutex::new(HashMap::new()),
-                repl_tx: Mutex::new(None),
                 forward_traces: Mutex::new(ForwardTraces::default()),
                 stop: AtomicBool::new(false),
             }),
@@ -205,37 +194,21 @@ impl ClusterNode {
         let _ = self.inner.farm.set(farm);
     }
 
-    /// Starts the heartbeat and replication threads. Call after
+    /// Starts the heartbeat thread. Call after
     /// [`ClusterNode::attach_farm`].
     pub fn start_threads(&self) -> ClusterThreads {
-        let mut handles = Vec::new();
-        let (tx, rx) = mpsc::channel::<Replication>();
-        *self.inner.repl_tx.lock().expect("cluster repl lock") = Some(tx);
         let me = self.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name("cluster-replicate".to_string())
-                .spawn(move || me.replication_loop(&rx))
-                .expect("spawn cluster replication"),
-        );
-        let me = self.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name("cluster-heartbeat".to_string())
-                .spawn(move || me.heartbeat_loop())
-                .expect("spawn cluster heartbeat"),
-        );
-        ClusterThreads { handles }
+        let heartbeat = std::thread::Builder::new()
+            .name("cluster-heartbeat".to_string())
+            .spawn(move || me.heartbeat_loop())
+            .expect("spawn cluster heartbeat");
+        ClusterThreads { heartbeat }
     }
 
-    /// Stops the node's threads and joins them.
+    /// Stops the node's heartbeat thread and joins it.
     pub fn stop(&self, threads: ClusterThreads) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        // Dropping the sender wakes the replication loop.
-        *self.inner.repl_tx.lock().expect("cluster repl lock") = None;
-        for h in threads.handles {
-            let _ = h.join();
-        }
+        let _ = threads.heartbeat.join();
     }
 
     /// Server hooks wiring `/cluster/*` routes, healthz fields, and
@@ -309,8 +282,6 @@ impl ClusterNode {
     /// | `GET /cluster/healthz` | node id, ring, liveness counts (the heartbeat probe target) |
     /// | `GET /cluster/peers` | member list + ring document |
     /// | `POST /cluster/join` | add a member (broadcast to peers unless forwarded) |
-    /// | `GET /cluster/artifact/{hex}?kind=tag` | artifact payload from the local store |
-    /// | `POST /cluster/artifact/{hex}?kind=tag` | save a replicated artifact payload |
     /// | `GET /cluster/metrics` | federated metrics: per-node snapshots + ring-wide rollups (`?format=prometheus` for labelled text) |
     /// | `GET /cluster/trace/{trace_id}` | merged cross-node Chrome trace, one pid lane per node (`?local=1` for this node's fragment) |
     ///
@@ -346,8 +317,6 @@ impl ClusterNode {
             ("POST", "/cluster/join") => Some(self.handle_join(req)),
             ("GET", "/cluster/metrics") => Some(self.cluster_metrics(req)),
             ("GET", p) if p.starts_with("/cluster/trace/") => Some(self.cluster_trace(req)),
-            ("GET", p) if p.starts_with("/cluster/artifact/") => Some(self.artifact_get(req)),
-            ("POST", p) if p.starts_with("/cluster/artifact/") => Some(self.artifact_put(req)),
             _ => None,
         }
     }
@@ -399,53 +368,6 @@ impl ClusterNode {
             ])
             .to_string(),
         )
-    }
-
-    /// Parses `/cluster/artifact/{hex}` + `?kind=tag`.
-    fn parse_artifact(req: &Request) -> Option<(StoreKey, ArtifactKind)> {
-        let hex = req.path.strip_prefix("/cluster/artifact/")?;
-        let key = StoreKey::from_hex(hex)?;
-        let kind = req
-            .query
-            .as_deref()
-            .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("kind=")))
-            .and_then(ArtifactKind::from_tag)
-            .unwrap_or(ArtifactKind::JobSummary);
-        Some((key, kind))
-    }
-
-    fn artifact_get(&self, req: &Request) -> Response {
-        let Some((key, kind)) = Self::parse_artifact(req) else {
-            return Response::bad_request(
-                "bad artifact path (want /cluster/artifact/{32-hex}?kind=tag)",
-            );
-        };
-        let Some(store) = &self.inner.store else {
-            return Response::not_found("this node runs without a store");
-        };
-        match store.load(&key, kind) {
-            Some(payload) => Response::bytes_ok(payload),
-            None => Response::not_found(&format!("no {kind} artifact for {key}")),
-        }
-    }
-
-    fn artifact_put(&self, req: &Request) -> Response {
-        let Some((key, kind)) = Self::parse_artifact(req) else {
-            return Response::bad_request(
-                "bad artifact path (want /cluster/artifact/{32-hex}?kind=tag)",
-            );
-        };
-        let Some(store) = &self.inner.store else {
-            return Response::not_found("this node runs without a store");
-        };
-        match store.save(&key, kind, &req.body) {
-            Ok(()) => Response::json_ok("{\"replicated\":true}".to_string()),
-            Err(e) => Response::new(
-                "500 Internal Server Error",
-                "application/json",
-                format!("{{\"error\":\"artifact save failed: {e}\"}}"),
-            ),
-        }
     }
 
     // ---- forwarding -----------------------------------------------------
@@ -884,99 +806,6 @@ impl ClusterNode {
         )
     }
 
-    // ---- cluster-wide dedup (store fetch / replication) -----------------
-
-    /// Tries to fetch `key`/`kind` from the key's owner (then the
-    /// replica) and seed the local store. Returns whether the artifact
-    /// is now present locally.
-    pub(crate) fn fetch_into_store(&self, key: &StoreKey, kind: ArtifactKind) -> bool {
-        let Some(store) = &self.inner.store else {
-            return false;
-        };
-        let candidates: Vec<String> = {
-            let m = self.membership();
-            m.ring
-                .owners(&key.0, 2)
-                .into_iter()
-                .filter(|n| *n != m.self_addr)
-                .map(str::to_string)
-                .collect()
-        };
-        if candidates.is_empty() {
-            return false;
-        }
-        let mut span = self
-            .inner
-            .obs
-            .span(names::SPAN_CLUSTER_FETCH, names::CAT_CLUSTER);
-        span.arg("key", key.hex());
-        let path = format!("/cluster/artifact/{}?kind={}", key.hex(), kind.tag());
-        for peer in candidates {
-            let path = path.clone();
-            let got = self.with_client(&peer, move |client| {
-                client.http().send("GET", &path, &[], &[], None, true)
-            });
-            if let Ok(resp) = got {
-                if resp.status == 200 && store.save(key, kind, &resp.body).is_ok() {
-                    self.inner.obs.counter(names::CLUSTER_FETCH_HITS).inc();
-                    span.arg("hit_from", peer.as_str());
-                    return true;
-                }
-            }
-        }
-        self.inner.obs.counter(names::CLUSTER_FETCH_MISSES).inc();
-        false
-    }
-
-    /// Queues an asynchronous replication of a freshly computed artifact
-    /// to the key's ring successor.
-    pub(crate) fn replicate(&self, key: StoreKey, kind: ArtifactKind, payload: Vec<u8>) {
-        let tx = self.inner.repl_tx.lock().expect("cluster repl lock");
-        if let Some(tx) = tx.as_ref() {
-            let _ = tx.send(Replication { key, kind, payload });
-        }
-    }
-
-    fn replication_loop(&self, rx: &Receiver<Replication>) {
-        while let Ok(item) = rx.recv() {
-            if self.inner.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            // Target: the first other member clockwise from the key —
-            // the node a fetch-on-miss asks after the owner.
-            let target = {
-                let m = self.membership();
-                m.ring
-                    .owners(&item.key.0, 2)
-                    .into_iter()
-                    .find(|n| *n != m.self_addr)
-                    .map(str::to_string)
-            };
-            let Some(target) = target else { continue };
-            let path = format!(
-                "/cluster/artifact/{}?kind={}",
-                item.key.hex(),
-                item.kind.tag()
-            );
-            let sent = self.with_client(&target, move |client| {
-                client
-                    .http()
-                    .send("POST", &path, &[], &item.payload, None, true)
-            });
-            match sent {
-                Ok(resp) if resp.status == 200 => {
-                    self.inner.obs.counter(names::CLUSTER_REPLICATIONS).inc();
-                }
-                _ => {
-                    self.inner
-                        .obs
-                        .counter(names::CLUSTER_REPLICATION_ERRORS)
-                        .inc();
-                }
-            }
-        }
-    }
-
     // ---- heartbeats + failover ------------------------------------------
 
     fn heartbeat_loop(&self) {
@@ -1051,10 +880,7 @@ impl ClusterNode {
         let view = match Journal::peek(dir) {
             Ok(v) => v,
             Err(e) => {
-                self.inner
-                    .obs
-                    .counter(names::CLUSTER_REPLICATION_ERRORS)
-                    .inc();
+                self.inner.obs.counter(names::CLUSTER_ADOPT_ERRORS).inc();
                 eprintln!(
                     "cluster: cannot read journal of dead peer {}: {e}",
                     peer.addr
@@ -1199,16 +1025,16 @@ impl RunningNode {
     }
 }
 
-/// Wires up one cluster member: node state, a [`ClusterBackend`] around
-/// `inner_backend`, the farm (journal in `farm_dir`, id base from the
-/// cluster ordinal), the HTTP server with cluster extensions, and the
-/// heartbeat/replication threads.
+/// Wires up one cluster member: node state, the farm running
+/// `inner_backend` (journal in `farm_dir`, id base from the cluster
+/// ordinal), the HTTP server with cluster extensions, and the heartbeat
+/// thread.
 ///
-/// The `store` handle, when present, is shared between the cluster node
-/// (artifact serving, fetch-on-miss, replication) and whatever the
-/// caller's `inner_backend` does with its own clone — pass the same
-/// `Arc` to both so a fetched artifact is immediately visible to the
-/// backend's cache check.
+/// Nodes share results by sharing a store directory: the caller opens
+/// it and hands it to `inner_backend`, which checks it before
+/// computing. The `store` argument is unused. It stays only because
+/// lp-perf's frozen ring-sweep call passes it, and it leaves when the
+/// benchmark definition is next revised (ROADMAP item 4a).
 ///
 /// # Errors
 /// Farm start or server bind failures.
@@ -1217,13 +1043,12 @@ pub fn spawn_node(
     cluster_cfg: ClusterConfig,
     mut farm_cfg: lp_farm::FarmConfig,
     inner_backend: Arc<dyn lp_farm::JobBackend>,
-    store: Option<Arc<Store>>,
+    _store: Option<Arc<Store>>,
     obs: Observer,
 ) -> io::Result<RunningNode> {
-    let node = ClusterNode::new(cluster_cfg, store.clone(), obs.clone());
+    let node = ClusterNode::new(cluster_cfg, obs.clone());
     farm_cfg.id_base = node.id_base();
-    let backend = Arc::new(ClusterBackend::new(inner_backend, node.clone(), store));
-    let farm = Farm::start(farm_cfg, backend, obs)?;
+    let farm = Farm::start(farm_cfg, inner_backend, obs)?;
     node.attach_farm(farm.clone());
     let server = FarmServer::start_with(bind, farm.clone(), node.extensions())?;
     let threads = node.start_threads();

@@ -120,29 +120,6 @@ impl Ring {
         Some(&self.nodes[node])
     }
 
-    /// The first `n` *distinct* nodes clockwise from `key`: the owner,
-    /// then its successor (the replication target), and so on. Returns
-    /// fewer than `n` when the ring is smaller.
-    pub fn owners(&self, key: &[u8; 16], n: usize) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::with_capacity(n.min(self.nodes.len()));
-        if self.points.is_empty() || n == 0 {
-            return out;
-        }
-        let point = Self::key_point(key);
-        let start = self.points.partition_point(|&(p, _)| p < point);
-        for off in 0..self.points.len() {
-            let (_, node) = self.points[(start + off) % self.points.len()];
-            let name = self.nodes[node].as_str();
-            if !out.contains(&name) {
-                out.push(name);
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
     /// The node that takes over `node`'s ranges when it dies: its ring
     /// successor among the *remaining* members — i.e. for each of the
     /// dead node's virtual points, the owner in the ring without it.
@@ -244,18 +221,6 @@ mod tests {
         assert_eq!(ring.owner(&[0u8; 16]), Some("10.0.0.0:9100"));
         assert!((ring.owned_fraction("10.0.0.0:9100") - 1.0).abs() < 1e-12);
         assert_eq!(ring.owned_fraction("absent:1"), 0.0);
-    }
-
-    #[test]
-    fn owners_lists_distinct_nodes_owner_first() {
-        let ring = Ring::build(&names(3), 64);
-        let key = [7u8; 16];
-        let owners = ring.owners(&key, 2);
-        assert_eq!(owners.len(), 2);
-        assert_eq!(owners[0], ring.owner(&key).unwrap());
-        assert_ne!(owners[0], owners[1]);
-        // Asking for more than the membership returns the membership.
-        assert_eq!(ring.owners(&key, 10).len(), 3);
     }
 
     #[test]

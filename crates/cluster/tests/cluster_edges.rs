@@ -1,7 +1,7 @@
 //! In-process multi-node integration tests: forwarding, cluster-wide
-//! dedup through the store, protocol negotiation, and failover
-//! re-adoption — the cluster contracts that need real sockets and real
-//! journals but not real workloads.
+//! dedup through one shared store directory, live partials, protocol
+//! negotiation, and failover re-adoption — the cluster contracts that
+//! need real sockets and real journals but not real workloads.
 
 use lp_cluster::{spawn_node, ClusterConfig, NodeSpec, Ring, RunningNode};
 use lp_farm::{FarmConfig, JobBackend, JobSpec, ShutdownMode};
@@ -57,9 +57,13 @@ fn mock_key(spec: &JobSpec) -> String {
 }
 
 /// Content-keyed mock workload: memoizes its summary in the node's
-/// store (as the real pipeline backend does), counts true computes, and
-/// optionally blocks while `gate` is up so a job can be pinned inside a
-/// node we are about to crash.
+/// store (as the real pipeline backend does), counts true computes,
+/// streams [`MOCK_PARTIALS`] partial results per compute (as a live job
+/// does), and optionally blocks while `gate` is up so a job can be
+/// pinned inside a node we are about to crash.
+/// Partial-result lines the mock streams per compute.
+const MOCK_PARTIALS: u64 = 3;
+
 struct MockBackend {
     computes: Arc<AtomicU64>,
     store: Option<Arc<Store>>,
@@ -71,7 +75,12 @@ impl JobBackend for MockBackend {
         Ok(mock_key(spec))
     }
 
-    fn execute(&self, spec: &JobSpec, cancel: &looppoint::CancelToken) -> Result<String, String> {
+    fn execute(
+        &self,
+        spec: &JobSpec,
+        cancel: &looppoint::CancelToken,
+        progress: &mut dyn FnMut(String),
+    ) -> Result<String, String> {
         if let Some(gate) = &self.gate {
             while gate.load(Ordering::SeqCst) {
                 if cancel.is_cancelled() {
@@ -87,6 +96,9 @@ impl JobBackend for MockBackend {
             }
         }
         self.computes.fetch_add(1, Ordering::SeqCst);
+        for i in 1..=MOCK_PARTIALS {
+            progress(format!(r#"{{"partial":{i}}}"#));
+        }
         let summary = format!(r#"{{"program":"{}","regions":3}}"#, spec.program);
         if let Some(store) = &self.store {
             store
@@ -112,82 +124,82 @@ impl TestNode {
     }
 }
 
-/// Boots `addrs.len()` nodes under `root`, each with its own store,
-/// journal, observer, and mock backend; `gates[i]` pins node i's
-/// executes while up.
-fn boot_cluster(root: &Path, addrs: &[String], gates: &[Option<Arc<AtomicBool>>]) -> Vec<TestNode> {
-    let peers: Vec<NodeSpec> = addrs
+/// The member list for `addrs`, each with its journal directory under
+/// `root` (the `addr=dir` form adoption reads).
+fn peer_specs(root: &Path, addrs: &[String]) -> Vec<NodeSpec> {
+    addrs
         .iter()
         .enumerate()
         .map(|(i, a)| NodeSpec {
             addr: a.clone(),
             dir: Some(root.join(format!("farm-{i}"))),
         })
-        .collect();
-    addrs
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| {
-            let obs = Observer::enabled();
-            let store =
-                Arc::new(Store::open(root.join(format!("store-{i}")), obs.clone()).unwrap());
-            let computes = Arc::new(AtomicU64::new(0));
-            let gate = gates.get(i).cloned().flatten();
-            let backend = Arc::new(MockBackend {
-                computes: Arc::clone(&computes),
-                store: Some(Arc::clone(&store)),
-                gate: gate.clone(),
-            });
-            let running = spawn_node(
-                addr,
-                ClusterConfig {
-                    self_addr: addr.clone(),
-                    peers: peers.clone(),
-                    vnodes: 64,
-                    heartbeat_ms: 100,
-                    failure_threshold: 3,
-                    rpc_timeout_ms: 2_000,
-                },
-                FarmConfig {
-                    workers: 2,
-                    dir: Some(root.join(format!("farm-{i}"))),
-                    journal_flush_ms: 0,
-                    history_interval_ms: 50,
-                    ..FarmConfig::default()
-                },
-                backend,
-                Some(store),
-                obs.clone(),
-            )
-            .unwrap();
-            TestNode {
-                running,
-                addr: addr.clone(),
-                computes,
-                obs,
-            }
-        })
         .collect()
 }
 
-/// A spec whose content key the given ring member owns (and, when
-/// `replicas_exclude` is set, whose 2-owner set avoids that member).
-fn spec_owned_by(ring: &Ring, owner: &str, replicas_exclude: Option<&str>) -> JobSpec {
+/// Boots member `i` of `peers`: its own journal and observer, a mock
+/// backend, and a handle of its own onto the one store directory the
+/// whole ring shares; `gate` pins its executes while up.
+fn boot_node(root: &Path, i: usize, peers: &[NodeSpec], gate: Option<Arc<AtomicBool>>) -> TestNode {
+    let addr = peers[i].addr.clone();
+    let obs = Observer::enabled();
+    let store = Arc::new(Store::open(root.join("store"), obs.clone()).unwrap());
+    let computes = Arc::new(AtomicU64::new(0));
+    let backend = Arc::new(MockBackend {
+        computes: Arc::clone(&computes),
+        store: Some(Arc::clone(&store)),
+        gate,
+    });
+    let running = spawn_node(
+        &addr,
+        ClusterConfig {
+            self_addr: addr.clone(),
+            peers: peers.to_vec(),
+            vnodes: 64,
+            heartbeat_ms: 100,
+            failure_threshold: 3,
+            rpc_timeout_ms: 2_000,
+        },
+        FarmConfig {
+            workers: 2,
+            dir: peers[i].dir.clone(),
+            journal_flush_ms: 0,
+            history_interval_ms: 50,
+            ..FarmConfig::default()
+        },
+        backend,
+        Some(store),
+        obs.clone(),
+    )
+    .unwrap();
+    TestNode {
+        running,
+        addr,
+        computes,
+        obs,
+    }
+}
+
+/// Boots `addrs.len()` nodes under `root` over one shared store
+/// directory; `gates[i]` pins node i's executes while up.
+fn boot_cluster(root: &Path, addrs: &[String], gates: &[Option<Arc<AtomicBool>>]) -> Vec<TestNode> {
+    let peers = peer_specs(root, addrs);
+    (0..addrs.len())
+        .map(|i| boot_node(root, i, &peers, gates.get(i).cloned().flatten()))
+        .collect()
+}
+
+/// A spec whose content key the given ring member owns.
+fn spec_owned_by(ring: &Ring, owner: &str) -> JobSpec {
     for i in 0..10_000 {
         let spec = JobSpec {
             program: format!("wl-{i}"),
             ..JobSpec::default()
         };
         let key = StoreKey::from_hex(&mock_key(&spec)).unwrap();
-        if ring.owner(&key.0) != Some(owner) {
-            continue;
+        if ring.owner(&key.0) == Some(owner) {
+            return spec;
         }
-        if let Some(excluded) = replicas_exclude {
-            if ring.owners(&key.0, 2).contains(&excluded) {
-                continue;
-            }
-        }
-        return spec;
     }
     panic!("no spec found owned by {owner}");
 }
@@ -207,7 +219,7 @@ fn forwarded_submit_returns_owner_range_id() {
 
     // A spec owned by node B, submitted to node A, must come back with
     // an id carved from B's range — proof the submission crossed nodes.
-    let spec = spec_owned_by(&ring, &addrs[1], None);
+    let spec = spec_owned_by(&ring, &addrs[1]);
     let (status, outcomes) = nodes[0]
         .client()
         .submit(std::slice::from_ref(&spec), None)
@@ -282,16 +294,16 @@ fn incompatible_protocol_version_is_rejected_with_426() {
 }
 
 #[test]
-fn cross_node_dedup_fetches_the_owner_artifact_instead_of_computing() {
+fn cross_node_dedup_reads_the_owner_result_from_the_shared_store() {
     let root = tmpdir("dedup");
     let addrs = vec![free_addr(), free_addr(), free_addr()];
     let nodes = boot_cluster(&root, &addrs, &[None, None, None]);
     let ring = Ring::build(&addrs, 64);
 
-    // Owned by A with a 2-owner set that excludes C: replication will
-    // never seed C's store, so C answering without a compute proves the
-    // fetch-on-miss path.
-    let spec = spec_owned_by(&ring, &addrs[0], Some(&addrs[2]));
+    // Owned by A. Nothing travels from A to C but the shared store
+    // directory, so C answering without a compute proves the ring
+    // shares results through it.
+    let spec = spec_owned_by(&ring, &addrs[0]);
 
     let (status, outcomes) = nodes[0]
         .client()
@@ -343,10 +355,11 @@ fn cross_node_dedup_fetches_the_owner_artifact_instead_of_computing() {
             .and_then(|r| r.get("regions"))
             .and_then(|v| v.as_u64()),
         Some(3),
-        "fetched artifact must parse as the job summary"
+        "the shared-store summary must parse as the job summary"
     );
 
-    // The cluster computed once, total; C's answer came over the wire.
+    // The cluster computed once, total; C's answer came from the store
+    // A wrote.
     assert_eq!(nodes[2].computes.load(Ordering::SeqCst), 0);
     let total: u64 = nodes
         .iter()
@@ -356,7 +369,94 @@ fn cross_node_dedup_fetches_the_owner_artifact_instead_of_computing() {
         total, 1,
         "cluster-wide dedup must collapse N submits to 1 compute"
     );
-    assert!(nodes[2].obs.counter(names::CLUSTER_FETCH_HITS).get() >= 1);
+
+    for node in nodes {
+        node.running.shutdown(ShutdownMode::Drain);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn live_partials_stream_through_a_ring_node() {
+    let root = tmpdir("partials");
+    let addrs = vec![free_addr()];
+    let nodes = boot_cluster(&root, &addrs, &[None]);
+    let node = &nodes[0];
+
+    let spec = JobSpec {
+        program: "live-wl".to_string(),
+        ..JobSpec::default()
+    };
+    let (status, outcomes) = node.client().submit(&[spec], None).unwrap();
+    assert_eq!(status, 202);
+    let id = outcomes[0].id().unwrap();
+    let mut client = node.client();
+    assert!(wait_until(
+        || client.job(id).map(|j| j.is_terminal()).unwrap_or(false),
+        Duration::from_secs(10),
+    ));
+
+    // Every partial the backend streamed reaches the farm's buffer and
+    // the NDJSON view, record last.
+    let partials = node.running.farm.progress(id, 0).unwrap();
+    assert_eq!(partials.len(), MOCK_PARTIALS as usize, "{partials:?}");
+    let (streamed, record) = client.job_stream(id, 0).unwrap();
+    assert_eq!(streamed.len(), MOCK_PARTIALS as usize);
+    assert_eq!(
+        streamed
+            .last()
+            .and_then(|p| p.get("partial"))
+            .and_then(|v| v.as_u64()),
+        Some(MOCK_PARTIALS)
+    );
+    assert_eq!(record.state, "done");
+
+    for node in nodes {
+        node.running.shutdown(ShutdownMode::Drain);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_posted_artifact_is_refused_and_never_becomes_a_result() {
+    let root = tmpdir("forge");
+    let addrs = vec![free_addr()];
+    let nodes = boot_cluster(&root, &addrs, &[None]);
+    let node = &nodes[0];
+
+    let spec = JobSpec {
+        program: "forge-wl".to_string(),
+        ..JobSpec::default()
+    };
+    let path = format!("/cluster/artifact/{}?kind=jobsummary", mock_key(&spec));
+    let resp = node
+        .client()
+        .http()
+        .send("POST", &path, &[], br#"{"forged":true}"#, None, true)
+        .unwrap();
+    assert!(
+        !(200..300).contains(&resp.status),
+        "POST {path} answered {}",
+        resp.status
+    );
+
+    let (status, outcomes) = node.client().submit(&[spec], None).unwrap();
+    assert_eq!(status, 202);
+    let id = outcomes[0].id().unwrap();
+    let mut client = node.client();
+    assert!(wait_until(
+        || client.job(id).map(|j| j.is_terminal()).unwrap_or(false),
+        Duration::from_secs(10),
+    ));
+    let record = client.job(id).unwrap();
+    let result = record.result.expect("done job carries its result");
+    assert_eq!(result.get("forged"), None, "{result}");
+    assert_eq!(
+        result.get("regions").and_then(|v| v.as_u64()),
+        Some(3),
+        "{result}"
+    );
+    assert_eq!(node.computes.load(Ordering::SeqCst), 1);
 
     for node in nodes {
         node.running.shutdown(ShutdownMode::Drain);
@@ -378,7 +478,7 @@ fn forwarded_job_trace_assembles_across_nodes_into_one_tree() {
 
     // Submitted to node 0, owned (and executed) by node 1; node 2 is a
     // bystander that saw nothing of the job.
-    let spec = spec_owned_by(&ring, &addrs[1], None);
+    let spec = spec_owned_by(&ring, &addrs[1]);
     let (status, outcomes) = nodes[0].client().submit(&[spec], None).unwrap();
     assert_eq!(status, 202);
     let (id, trace_hex) = match &outcomes[0] {
@@ -665,7 +765,7 @@ fn dead_node_journal_is_adopted_and_completed_by_the_survivor() {
     let mut nodes = boot_cluster(&root, &addrs, &[None, Some(Arc::clone(&gate))]);
     let ring = Ring::build(&addrs, 64);
 
-    let spec = spec_owned_by(&ring, &addrs[1], None);
+    let spec = spec_owned_by(&ring, &addrs[1]);
     let (status, outcomes) = nodes[1].client().submit(&[spec], None).unwrap();
     assert_eq!(status, 202);
     let id = outcomes[0].id().unwrap();
@@ -708,5 +808,37 @@ fn dead_node_journal_is_adopted_and_completed_by_the_survivor() {
     for node in nodes {
         node.running.shutdown(ShutdownMode::Drain);
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn unreadable_dead_journal_counts_one_adopt_error() {
+    let root = tmpdir("adopt-garbage");
+    // The second member never starts; its journal directory holds a
+    // snapshot that is not JSON.
+    let addrs = vec![free_addr(), free_addr()];
+    let peers = peer_specs(&root, &addrs);
+    let dead_dir = root.join("farm-1");
+    std::fs::create_dir_all(&dead_dir).unwrap();
+    let garbage = dead_dir.join(lp_farm::JOURNAL_FILE);
+    std::fs::write(&garbage, b"\x00 not a journal {").unwrap();
+    let node = boot_node(&root, 0, &peers, None);
+
+    // The survivor declares the peer dead, is the agreed adopter, fails
+    // to read the journal, counts it once, and keeps serving.
+    assert!(
+        wait_until(
+            || node.obs.counter(names::CLUSTER_ADOPT_ERRORS).get() >= 1,
+            Duration::from_secs(5),
+        ),
+        "the unreadable journal was never counted"
+    );
+    assert!(node.obs.counter(names::CLUSTER_PEER_DEATHS).get() >= 1);
+    assert_eq!(node.obs.counter(names::CLUSTER_ADOPT_ERRORS).get(), 1);
+    assert_eq!(node.obs.counter(names::CLUSTER_ADOPTED).get(), 0);
+    assert!(garbage.exists(), "an unread journal is not quarantined");
+    assert!(node.client().healthz().is_ok());
+
+    node.running.shutdown(ShutdownMode::Drain);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -75,7 +75,7 @@ impl FarmClient {
     }
 
     /// The underlying transport, for requests this type does not model
-    /// (inter-node artifact exchange, raw-wire benchmarks).
+    /// (inter-node proxies and probes, raw-wire benchmarks).
     pub fn http(&mut self) -> &mut HttpClient {
         &mut self.http
     }

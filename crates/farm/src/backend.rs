@@ -31,29 +31,20 @@ pub trait JobBackend: Send + Sync + 'static {
     /// A message when the spec is invalid (unknown program, bad enum).
     fn job_key(&self, spec: &JobSpec) -> Result<String, String>;
 
-    /// Runs the job to completion (or until `cancel` trips).
+    /// Runs the job to completion (or until `cancel` trips). A backend
+    /// may emit partial results — one JSON document per call — through
+    /// `progress` while the job runs; the farm buffers them per job and
+    /// streams them to `GET /jobs/{id}` followers. Backends without
+    /// partials ignore the sink.
     ///
     /// # Errors
     /// A message on any pipeline failure; the farm decides on retry.
-    fn execute(&self, spec: &JobSpec, cancel: &CancelToken) -> Result<String, String>;
-
-    /// Like [`JobBackend::execute`], but the backend may emit partial
-    /// results — one JSON document per call — through `progress` while
-    /// the job runs. The farm buffers these per job and streams them to
-    /// `GET /jobs/{id}` followers. The default ignores the sink and runs
-    /// `execute`, so backends without partials need no changes.
-    ///
-    /// # Errors
-    /// As [`JobBackend::execute`].
-    fn execute_streaming(
+    fn execute(
         &self,
         spec: &JobSpec,
         cancel: &CancelToken,
         progress: &mut dyn FnMut(String),
-    ) -> Result<String, String> {
-        let _ = progress;
-        self.execute(spec, cancel)
-    }
+    ) -> Result<String, String>;
 }
 
 /// Spec fields the content key depends on: (program, input, wait
@@ -84,8 +75,8 @@ pub struct PipelineBackend {
 
 impl PipelineBackend {
     /// A backend writing through `store` (if given) and reporting into
-    /// `obs`. The store arrives shared (`Arc`) so cluster mode can hand
-    /// the same handle to the artifact-exchange layer.
+    /// `obs`. The store arrives shared (`Arc`) so the caller can keep
+    /// its own handle to the same directory.
     pub fn new(store: Option<Arc<Store>>, obs: Observer) -> PipelineBackend {
         PipelineBackend {
             store,
@@ -176,11 +167,7 @@ impl JobBackend for PipelineBackend {
         Ok(self.store_key(spec)?.hex())
     }
 
-    fn execute(&self, spec: &JobSpec, cancel: &CancelToken) -> Result<String, String> {
-        self.execute_streaming(spec, cancel, &mut |_| {})
-    }
-
-    fn execute_streaming(
+    fn execute(
         &self,
         spec: &JobSpec,
         cancel: &CancelToken,
@@ -289,13 +276,15 @@ mod tests {
     fn execute_runs_the_pipeline_and_honors_cancel() {
         let backend = PipelineBackend::new(None, Observer::disabled());
         let spec = demo_spec();
-        let out = backend.execute(&spec, &CancelToken::new()).unwrap();
+        let out = backend
+            .execute(&spec, &CancelToken::new(), &mut |_| {})
+            .unwrap();
         let v = lp_obs::json::parse(&out).unwrap();
         assert!(v.get("predicted_cycles").unwrap().as_f64().unwrap() > 0.0);
 
         let tripped = CancelToken::new();
         tripped.cancel();
-        let err = backend.execute(&spec, &tripped).unwrap_err();
+        let err = backend.execute(&spec, &tripped, &mut |_| {}).unwrap_err();
         assert!(err.contains("cancel"), "{err}");
     }
 }

@@ -771,7 +771,7 @@ impl FarmInner {
             span.arg("job", id);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 self.backend
-                    .execute_streaming(&spec, &cancel, &mut |line| self.push_progress(id, line))
+                    .execute(&spec, &cancel, &mut |line| self.push_progress(id, line))
             }));
             drop(span);
             drop(trace_guard);

@@ -45,6 +45,7 @@
 //!         &self,
 //!         spec: &JobSpec,
 //!         _cancel: &looppoint::CancelToken,
+//!         _progress: &mut dyn FnMut(String),
 //!     ) -> Result<String, String> {
 //!         Ok(format!("{{\"program\":\"{}\"}}", spec.program))
 //!     }

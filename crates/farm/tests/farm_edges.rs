@@ -57,7 +57,12 @@ impl JobBackend for Blocking {
         mock_key(spec)
     }
 
-    fn execute(&self, spec: &JobSpec, cancel: &CancelToken) -> Result<String, String> {
+    fn execute(
+        &self,
+        spec: &JobSpec,
+        cancel: &CancelToken,
+        _progress: &mut dyn FnMut(String),
+    ) -> Result<String, String> {
         self.computes.fetch_add(1, Ordering::SeqCst);
         let mut open = self.gate.lock().unwrap();
         loop {
@@ -84,7 +89,12 @@ impl JobBackend for Fast {
         mock_key(spec)
     }
 
-    fn execute(&self, spec: &JobSpec, _cancel: &CancelToken) -> Result<String, String> {
+    fn execute(
+        &self,
+        spec: &JobSpec,
+        _cancel: &CancelToken,
+        _progress: &mut dyn FnMut(String),
+    ) -> Result<String, String> {
         if spec.program == "boom" {
             panic!("kaboom: injected backend panic");
         }
@@ -641,11 +651,7 @@ impl JobBackend for Streaming {
         mock_key(spec)
     }
 
-    fn execute(&self, spec: &JobSpec, cancel: &CancelToken) -> Result<String, String> {
-        self.execute_streaming(spec, cancel, &mut |_| {})
-    }
-
-    fn execute_streaming(
+    fn execute(
         &self,
         spec: &JobSpec,
         cancel: &CancelToken,

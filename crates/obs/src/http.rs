@@ -245,14 +245,13 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra headers (name, value) written verbatim.
     pub extra_headers: Vec<(String, String)>,
-    /// Response body. Raw bytes: artifact transfer between cluster
-    /// nodes ships LPAC payloads, which are not UTF-8.
+    /// Response body. Raw bytes: a body need not be UTF-8.
     pub body: Vec<u8>,
 }
 
 impl Response {
     /// A response with no extra headers. `body` accepts both `String`
-    /// (JSON/text routes) and `Vec<u8>` (binary artifact routes).
+    /// (JSON/text routes) and `Vec<u8>` (binary bodies).
     pub fn new(
         status: &'static str,
         content_type: &'static str,
@@ -264,11 +263,6 @@ impl Response {
             extra_headers: Vec::new(),
             body: body.into(),
         }
-    }
-
-    /// `200 OK` with raw bytes (`application/octet-stream`).
-    pub fn bytes_ok(body: Vec<u8>) -> Response {
-        Response::new("200 OK", "application/octet-stream", body)
     }
 
     /// `200 OK` with `application/json`.
@@ -339,7 +333,7 @@ pub struct ClientResponse {
     pub status: u16,
     /// Response headers, names lowercased, values trimmed.
     pub headers: Vec<(String, String)>,
-    /// Raw body bytes (binary-clean; artifact transfers are not UTF-8).
+    /// Raw body bytes (binary-clean; a body need not be UTF-8).
     pub body: Vec<u8>,
 }
 

@@ -123,18 +123,16 @@ pub const CLUSTER_FORWARDED: &str = "cluster.forwarded";
 /// Counter: forwards that failed (owner unreachable / bad response);
 /// the submission is then accepted locally as a fallback.
 pub const CLUSTER_FORWARD_ERRORS: &str = "cluster.forward_errors";
-/// Counter: artifacts fetched from a peer instead of recomputed
-/// (cluster-wide dedup via store fetch-on-miss).
+/// Counter: artifacts fetched from a peer instead of recomputed. No
+/// longer emitted — ring nodes share results through one store
+/// directory, not an HTTP artifact exchange — so it reads 0. It stays
+/// only because lp-perf's frozen `cluster.fetch_hits` metric reads it,
+/// and it leaves when the benchmark definition is next revised (ROADMAP
+/// item 4a).
 pub const CLUSTER_FETCH_HITS: &str = "cluster.fetch.hits";
-/// Counter: remote artifact lookups that found nothing (fall through to
-/// a local compute).
-pub const CLUSTER_FETCH_MISSES: &str = "cluster.fetch.misses";
-/// Counter: completed artifacts asynchronously replicated to the key's
-/// ring successor.
-pub const CLUSTER_REPLICATIONS: &str = "cluster.replications";
-/// Counter: replication attempts that failed (best-effort; the artifact
-/// stays on the computing node).
-pub const CLUSTER_REPLICATION_ERRORS: &str = "cluster.replication_errors";
+/// Counter: failover adoptions abandoned because the dead peer's
+/// journal could not be read.
+pub const CLUSTER_ADOPT_ERRORS: &str = "cluster.adopt_errors";
 /// Counter: jobs re-adopted from a dead peer's journal by its ring
 /// successor.
 pub const CLUSTER_ADOPTED: &str = "cluster.adopted";
@@ -152,8 +150,6 @@ pub const CLUSTER_OWNED_FRACTION: &str = "cluster.owned_fraction";
 pub const CLUSTER_FORWARD_US: &str = "cluster.forward.us";
 /// Span: forwarding one submission to its owner node.
 pub const SPAN_CLUSTER_FORWARD: &str = "cluster.forward";
-/// Span: fetching one artifact from a peer.
-pub const SPAN_CLUSTER_FETCH: &str = "cluster.fetch";
 
 /// Histogram: wall time of one `/cluster/metrics` federation fan-out
 /// across the live members (µs).
@@ -278,9 +274,7 @@ pub const fn all_names() -> &'static [&'static str] {
         CLUSTER_FORWARDED,
         CLUSTER_FORWARD_ERRORS,
         CLUSTER_FETCH_HITS,
-        CLUSTER_FETCH_MISSES,
-        CLUSTER_REPLICATIONS,
-        CLUSTER_REPLICATION_ERRORS,
+        CLUSTER_ADOPT_ERRORS,
         CLUSTER_ADOPTED,
         CLUSTER_PEER_DEATHS,
         CLUSTER_PEERS_ALIVE,
@@ -289,7 +283,6 @@ pub const fn all_names() -> &'static [&'static str] {
         CLUSTER_OWNED_FRACTION,
         CLUSTER_FORWARD_US,
         SPAN_CLUSTER_FORWARD,
-        SPAN_CLUSTER_FETCH,
         CLUSTER_FEDERATE_US,
         CLUSTER_FEDERATE_ERRORS,
         CLUSTER_TRACE_ASSEMBLED,

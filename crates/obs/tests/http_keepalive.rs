@@ -93,7 +93,7 @@ fn send_roundtrips_binary_bodies_and_headers() {
         Arc::new(|req: &lp_obs::http::Request| {
             // Echo the body bytes back, tagged with a custom header the
             // client must be able to read.
-            let mut resp = Response::bytes_ok(req.body.clone());
+            let mut resp = Response::new("200 OK", "application/octet-stream", req.body.clone());
             if let Some(v) = req.header("x-lp-proto") {
                 resp = resp.with_header("x-lp-proto", v.to_string());
             }

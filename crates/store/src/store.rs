@@ -52,9 +52,9 @@ impl StoreKey {
     }
 
     /// Parses a 32-hex-char rendering back into a key (the inverse of
-    /// [`StoreKey::hex`]); `None` on any other shape. Wire paths that
-    /// carry keys as text — farm job keys, cluster artifact routes —
-    /// re-enter the store through here.
+    /// [`StoreKey::hex`]); `None` on any other shape. Keys that travel
+    /// as text — farm job keys, which the cluster ring hashes — re-enter
+    /// the store through here.
     pub fn from_hex(s: &str) -> Option<StoreKey> {
         let s = s.trim();
         if s.len() != 32 || !s.is_ascii() {

@@ -258,7 +258,7 @@ group! {
     "--heartbeat-ms <n>" = "500", Positive, "peer liveness probe period";
     "--failure-threshold <n>" = "3", Positive,
         "consecutive failed probes before a peer is declared dead";
-    "--rpc-timeout-ms <n>" = "5000", UINT, "forward/fetch/probe timeout";
+    "--rpc-timeout-ms <n>" = "5000", UINT, "forward/proxy/probe timeout";
 }
 
 group! {

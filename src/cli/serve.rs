@@ -10,8 +10,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 /// What `serve` runs: a farm behind its HTTP front door, or the same
-/// behind a cluster node (consistent-hash forwarding, artifact exchange,
-/// heartbeat liveness, failover adoption).
+/// behind a cluster node (consistent-hash forwarding, heartbeat
+/// liveness, failover adoption; nodes share results through a shared
+/// `--store-dir`).
 enum Daemon {
     Plain(Farm, FarmServer),
     Node(Box<RunningNode>),
